@@ -393,7 +393,6 @@ def stats_payload(include_disk: bool = True) -> Dict[str, Any]:
     CLI does.
     """
     from repro.dbt.trace import TRACE_STATS
-    from repro.learning.hotindex import TIER0_STATS
     from repro.symir.expr import intern_table_size
 
     cache = disk_cache()
@@ -404,7 +403,6 @@ def stats_payload(include_disk: bool = True) -> Dict[str, Any]:
         "interned_exprs": intern_table_size(),
         "memos": [memo.stats() for memo in memo_registry()],
         "trace_tier": TRACE_STATS.snapshot(),
-        "tier0": TIER0_STATS.snapshot(),
     }
     if include_disk:
         payload["disk_entries"] = cache.entry_count()

@@ -122,15 +122,6 @@ def _cmd_cache(args) -> int:
           f"guard exits {trace['guard_exits']}")
     print(f"  source cache: {trace['source_cache_hits']} hits, "
           f"{trace['source_cache_stores']} stores")
-    from repro.learning.hotindex import TIER0_STATS
-
-    tier0 = TIER0_STATS.snapshot()
-    print("tier-0 hot index (this process):")
-    print(f"  loads {tier0['loads']}  rules {tier0['rules']}  "
-          f"coverage {100 * tier0['coverage']:.1f}%")
-    print(f"  resolved {tier0['resolved_rules']}  dropped {tier0['dropped_rules']}")
-    print(f"  lookups: {tier0['tier0_hits']} tier-0, "
-          f"{tier0['fallback_hits']} fallback, {tier0['misses']} miss")
     return 0
 
 
@@ -232,13 +223,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    tier0_stats = None
-    if args.tier0 and not args.no_tier0:
-        metrics, tier0_stats = _translate_tier0(args)
-    else:
-        from repro.experiments.common import run_benchmark
+    from repro.experiments.common import run_benchmark
 
-        metrics = run_benchmark(args.benchmark, args.stage, backend=args.backend)
+    metrics = run_benchmark(args.benchmark, args.stage, backend=args.backend)
     print(f"benchmark          : {args.benchmark}")
     print(f"configuration      : {args.stage}")
     print(f"backend            : {args.backend}")
@@ -250,91 +237,6 @@ def _cmd_translate(args) -> int:
     print(f"blocks translated  : {metrics.blocks_translated}")
     print(f"block executions   : {metrics.block_executions}")
     print(f"simulated cost     : {metrics.cost():.0f}")
-    if tier0_stats is not None:
-        print(f"tier-0 rules       : {tier0_stats['rules']} "
-              f"(coverage {100 * tier0_stats['coverage']:.1f}%, "
-              f"digest {tier0_stats['digest'][:12]})")
-        print(f"tier-0 lookups     : {tier0_stats['tier0_hits']} hot, "
-              f"{tier0_stats['fallback_hits']} fallback, "
-              f"{tier0_stats['misses']} miss")
-    return 0
-
-
-def _translate_tier0(args):
-    """One DBT run with the rule index fronted by a tier-0 artifact.
-
-    Uses the artifact's own training corpus (not the leave-one-out rules),
-    validates against the reference interpreter, and reports the front's
-    hit counters alongside the usual metrics.
-    """
-    import dataclasses
-
-    from repro.dbt import DBTEngine, check_against_reference
-    from repro.errors import ExecutionError
-    from repro.learning.distill import (
-        hot_index_for,
-        load_artifact,
-        setup_for_training,
-    )
-    from repro.workloads import compiled_benchmark
-
-    payload = load_artifact(args.tier0)
-    setup = setup_for_training(payload.get("training", "quick"))
-    config = setup.configs[args.stage]
-    hot = hot_index_for(payload, config.rules)
-    pair = compiled_benchmark(args.benchmark)
-    engine = DBTEngine(
-        pair.guest,
-        dataclasses.replace(config, rules=hot),
-        backend=args.backend,
-    )
-    result = engine.run()
-    ok, message = check_against_reference(pair.guest, result)
-    if not ok:
-        raise ExecutionError(
-            f"{args.benchmark}/{args.stage}: tier-0 execution diverged: {message}"
-        )
-    return result.metrics, hot.stats()
-
-
-def _cmd_distill(args) -> int:
-    """Distill a tier-0 hot-ruleset artifact from workload profiling."""
-    from repro.learning.distill import distill, setup_for_training, write_artifact
-    from repro.workloads import BENCHMARK_NAMES
-
-    if args.benchmarks:
-        names = [part.strip() for part in args.benchmarks.split(",") if part.strip()]
-        unknown = [name for name in names if name not in BENCHMARK_NAMES]
-        if unknown:
-            print(f"unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-    else:
-        names = list(BENCHMARK_NAMES)
-    log = None if args.quiet else (lambda message: print(f"# {message}"))
-    if log:
-        log(f"training rules: {args.training}; profiling {len(names)} benchmarks "
-            f"under {args.backend}/{args.stage}")
-    setup = setup_for_training(args.training)
-    config = setup.configs[args.stage]
-    payload = distill(
-        config,
-        stage=args.stage,
-        benchmarks=names,
-        training=args.training,
-        backend=args.backend,
-        coverage_target=args.coverage,
-        max_rules=args.max_rules,
-    )
-    write_artifact(payload, args.out)
-    print(f"stage              : {payload['stage']}")
-    print(f"profiled           : {len(payload['profiled'])} benchmarks")
-    print(f"source rules       : {payload['source_rules']}")
-    print(f"tier-0 rules       : {len(payload['rules'])}")
-    print(f"dynamic coverage   : {100 * payload['coverage']:.2f}% "
-          f"(target {100 * payload['coverage_target']:.0f}%)")
-    print(f"observed hits      : {payload['total_hits']}")
-    print(f"digest             : {payload['digest']}")
-    print(f"artifact           : {args.out}")
     return 0
 
 
@@ -344,8 +246,6 @@ def _cmd_bench(args) -> int:
         return _cmd_bench_offline(args)
     if args.service:
         return _cmd_bench_service(args)
-    if args.distill:
-        return _cmd_bench_distill(args)
     from repro.bench import check_report, render_report, run_bench, write_report
 
     configs = None
@@ -382,33 +282,6 @@ def _load_baseline(path: str):
             return json.load(handle)
     except (OSError, ValueError):
         return None
-
-
-def _cmd_bench_distill(args) -> int:
-    """Tier-0 A/B harness + byte-identical-translation parity gate."""
-    from repro.bench_distill import (
-        check_distill_report,
-        render_distill_report,
-        run_distill_bench,
-        write_distill_report,
-    )
-
-    log = None if args.quiet else (lambda message: print(f"# {message}"))
-    payload = run_distill_bench(
-        repeats=args.repeats,
-        quick=args.quick,
-        tier0_path=args.tier0 or None,
-        log=log,
-    )
-    print(render_distill_report(payload))
-    offline_path, service_path = write_distill_report(payload)
-    print(f"report: {offline_path} (distill section) + {service_path} "
-          "(tier0_lookup section)")
-    if args.check:
-        ok, message = check_distill_report(payload)
-        print(f"check: {message}")
-        return 0 if ok else 1
-    return 0
 
 
 def _cmd_bench_offline(args) -> int:
@@ -495,23 +368,25 @@ def _cmd_serve(args) -> int:
     """Run the translation service (newline-delimited JSON over TCP)."""
     from repro.service import ServiceConfig, serve
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        stage=args.stage,
-        training=args.training,
-        shards=args.shards,
-        cache_blocks=args.cache_blocks,
-        max_queue=args.max_queue,
-        handlers=args.handlers,
-        request_timeout=args.timeout,
-        disk_code_dir=args.code_cache_dir,
-        chaining=not args.no_chaining,
-        backend=args.backend,
-        tier0_path=None if args.no_tier0 else args.tier0,
-        ruleset_store=args.ruleset_store,
-        watch_interval=args.watch_interval,
-    )
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            stage=args.stage,
+            training=args.training,
+            cache_blocks=args.cache_blocks,
+            max_queue=args.max_queue,
+            handlers=args.handlers,
+            request_timeout=args.timeout,
+            disk_code_dir=args.code_cache_dir,
+            chaining=not args.no_chaining,
+            backend=args.backend,
+            ruleset_store=args.ruleset_store,
+            watch_interval=args.watch_interval,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.workers > 1 or args.pool_dir:
         from repro.service import PoolConfig, serve_pool
 
@@ -712,38 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     translate.add_argument("--backend", default="interp", choices=BACKENDS,
                            help="execution backend (interp is the oracle)")
-    translate.add_argument("--tier0", metavar="PATH",
-                           help="front rule lookups with this distilled "
-                                "tier-0 artifact (from `repro distill`)")
-    translate.add_argument("--no-tier0", action="store_true",
-                           help="ignore --tier0 (flat full-index lookup)")
     _add_jobs(translate)
     translate.set_defaults(fn=_cmd_translate)
-
-    distill = sub.add_parser(
-        "distill", help="distill a tier-0 hot ruleset from workload "
-                        "profiling (versioned, content-addressed artifact)"
-    )
-    distill.add_argument("--training", default="quick", choices=("quick", "full"),
-                         help="rule-training corpus to distill from (matches "
-                              "`serve --training`)")
-    distill.add_argument("--stage", default="condition", choices=STAGES,
-                         help="parameterization stage the artifact fronts")
-    distill.add_argument("--backend", default="jit", choices=BACKENDS,
-                         help="execution backend used for profiling runs")
-    distill.add_argument("--benchmarks", default=None, metavar="NAME,NAME,...",
-                         help="profiling corpus (default: the whole suite)")
-    distill.add_argument("--coverage", type=float, default=0.95,
-                         help="fraction of observed dynamic rule hits tier-0 "
-                              "must cover (default 0.95)")
-    distill.add_argument("--max-rules", type=int, default=None,
-                         help="hard cap on tier-0 size")
-    distill.add_argument("--out", default="tier0.json",
-                         help="artifact path (default tier0.json)")
-    distill.add_argument("--quiet", action="store_true",
-                         help="suppress progress lines")
-    _add_jobs(distill)
-    distill.set_defaults(fn=_cmd_distill)
 
     bench = sub.add_parser(
         "bench", help="benchmark the execution backends (writes BENCH_dbt.json)"
@@ -757,14 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--offline", action="store_true",
                        help="benchmark the offline learn/derive pipeline "
                             "instead (writes BENCH_offline.json)")
-    bench.add_argument("--distill", action="store_true",
-                       help="tier-0 A/B harness: legacy vs memoized vs "
-                            "tier-0 translate times, lookup p50/p99, and a "
-                            "byte-identical-translation parity gate (merges "
-                            "into BENCH_offline.json + BENCH_service.json)")
-    bench.add_argument("--tier0", default=None, metavar="PATH",
-                       help="with --distill: reuse an existing artifact "
-                            "instead of distilling in-process")
     bench.add_argument("--repeats", type=int, default=3,
                        help="warm repetitions per configuration (min is kept)")
     bench.add_argument("--configs", default=None, metavar="KEY,KEY,...",
@@ -778,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit nonzero unless jit beats interp and "
                             "translate time has not regressed vs the prior "
                             "on-disk report (or, with --offline, unless "
-                            "batched == direct; with --distill, unless "
-                            "tier-0 translation is byte-identical)")
+                            "batched == direct)")
     bench.add_argument("--quiet", action="store_true",
                        help="suppress progress lines")
     bench.set_defaults(fn=_cmd_bench)
@@ -831,8 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--training", default="quick", choices=("quick", "full"),
                        help="rule-training corpus loaded at startup "
                             "(quick = 2 benchmarks, full = whole suite)")
-    serve.add_argument("--shards", type=int, default=8,
-                       help="rule-index shards (default 8)")
     serve.add_argument("--cache-blocks", type=int, default=4096,
                        help="shared code-cache capacity in blocks")
     serve.add_argument("--max-queue", type=int, default=64,
@@ -855,12 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend for run/coverage requests "
                             "(trace adds hot-cycle superblocks; their "
                             "generated source shares the disk code cache)")
-    serve.add_argument("--tier0", default=None, metavar="PATH",
-                       help="front the rule index with a distilled tier-0 "
-                            "artifact (from `repro distill`; applies to the "
-                            "stage it was distilled for)")
-    serve.add_argument("--no-tier0", action="store_true",
-                       help="ignore --tier0 (plain sharded index)")
     serve.add_argument("--no-chaining", action="store_true",
                        help="disable block chaining (chain links warm up "
                             "across requests, so run metrics become "

@@ -124,30 +124,17 @@ class _Segment:
 
 
 class BlockTranslator:
-    def __init__(
-        self,
-        unit,
-        blockmap: BlockMap,
-        config: TranslationConfig,
-        legacy_lookup: bool = False,
-    ) -> None:
+    def __init__(self, unit, blockmap: BlockMap, config: TranslationConfig) -> None:
         self.unit = unit
         self.blockmap = blockmap
         self.config = config
         self.live_in_global = blockmap.live_in_flags()
-        #: pre-fast-path lookup (two canonicalization passes per window, no
-        #: memo); kept as the honest baseline for ``repro bench --distill``.
-        self.legacy_lookup = legacy_lookup
         self._window_rules: Dict[Tuple[Instruction, ...], object] = {}
-        self._lookup_canonical = getattr(config.rules, "lookup_canonical", None)
-        #: window-length cap, computed once per translator — the legacy
-        #: baseline recomputes it per block (``max()`` over every rule),
-        #: which on real rule sets is a measurable share of translate time.
-        self._max_window = (
-            min(config.rules.max_guest_length(), 4)
-            if config.rules is not None
-            else 0
-        )
+        rules = config.rules
+        self._lookup_canonical = rules.lookup_canonical if rules is not None else None
+        #: window-length cap, computed once per translator (``max()`` over
+        #: every rule is a measurable share of translate time per block).
+        self._max_window = min(rules.max_guest_length(), 4) if rules is not None else 0
 
     # -- planning ---------------------------------------------------------------
 
@@ -161,13 +148,6 @@ class BlockTranslator:
         windows are safe too because the memo key is the *rewritten* window
         (placeholder register, no concrete address).
         """
-        lookup_canonical = self._lookup_canonical
-        if self.legacy_lookup:
-            rules = self.config.rules
-            legacy = getattr(rules, "lookup_legacy", None)
-            return legacy(lookup) if legacy is not None else rules.lookup(lookup)
-        if lookup_canonical is None:
-            return self.config.rules.lookup(lookup)
         memo = self._window_rules
         rule = memo.get(lookup, _UNRESOLVED)
         if rule is _UNRESOLVED:
@@ -176,7 +156,7 @@ class BlockTranslator:
             except RuleError:
                 rule = None
             else:
-                rule = lookup_canonical(general, specific)
+                rule = self._lookup_canonical(general, specific)
             memo[lookup] = rule
         return rule
 
@@ -200,7 +180,7 @@ class BlockTranslator:
         )
         return (Instruction(insn.mnemonic, operands),), abs_index * 4 + 8
 
-    def _match_fast(
+    def _match(
         self,
         insns: Sequence[Instruction],
         defs,
@@ -209,7 +189,7 @@ class BlockTranslator:
         i: int,
         limit: int,
     ) -> Optional[_Segment]:
-        """Longest-match probe at position ``i`` on the fast path.
+        """Longest-match rule probe at position ``i``.
 
         All candidate lengths share one :func:`window_key_prefixes` walk
         (computed lazily, only when the memo has no answer), so a position
@@ -250,52 +230,19 @@ class BlockTranslator:
         return None
 
     def _plan(self, insns: Sequence[Instruction], block: Block) -> List[_Segment]:
-        rules = self.config.rules
+        n = len(insns)
+        if self.config.rules is None:
+            return [_Segment(i, 1) for i in range(n)]
         defs = [ARM.defn(i) for i in insns]
+        pc_flags = [
+            any(isinstance(op, Reg) and op.name == "pc" for op in insn.operands)
+            for insn in insns
+        ]
         segments: List[_Segment] = []
         i = 0
-        n = len(insns)
-        fast = not self.legacy_lookup and self._lookup_canonical is not None
-        if fast or rules is None:
-            max_len = self._max_window
-        else:
-            # Seed pipeline, kept verbatim as the ``bench --distill``
-            # legacy baseline: window cap recomputed per block.
-            max_len = min(rules.max_guest_length(), 4)
-        pc_flags = None
-        if fast and rules is not None:
-            pc_flags = [
-                any(
-                    isinstance(op, Reg) and op.name == "pc"
-                    for op in insn.operands
-                )
-                for insn in insns
-            ]
         while i < n:
-            segment = None
-            if rules is not None:
-                limit = min(max_len, n - i)
-                if fast:
-                    segment = self._match_fast(
-                        insns, defs, pc_flags, block, i, limit
-                    )
-                else:
-                    for length in range(limit, 0, -1):
-                        if any(defs[i + k].is_branch for k in range(length - 1)):
-                            continue
-                        last = defs[i + length - 1]
-                        if last.is_branch and last.cond is None:
-                            continue  # unconditional transfers exit instead
-                        window = tuple(insns[i : i + length])
-                        lookup, pc_value = self._pc_rewrite(
-                            window, block.start + i
-                        )
-                        if lookup is None:
-                            continue
-                        rule = self._lookup_rule(lookup)
-                        if rule is not None:
-                            segment = _Segment(i, length, rule, lookup, pc_value)
-                            break
+            limit = min(self._max_window, n - i)
+            segment = self._match(insns, defs, pc_flags, block, i, limit)
             segments.append(segment or _Segment(i, 1))
             i += segments[-1].length
         return segments

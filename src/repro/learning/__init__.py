@@ -8,19 +8,6 @@ from repro.learning.learn import (
     learn_pair,
     learn_suite,
 )
-from repro.learning.distill import (
-    DistillSelection,
-    ResolvedTier0,
-    build_artifact,
-    distill,
-    hot_index_for,
-    load_artifact,
-    profile_rule_hits,
-    resolve_artifact,
-    select_tier0,
-    write_artifact,
-)
-from repro.learning.hotindex import TIER0_STATS, HotIndex, slot_owner
 from repro.learning.rule import (
     TranslationRule,
     guest_key,
@@ -52,19 +39,6 @@ __all__ = [
     "guest_key",
     "window_bindings",
     "window_keys",
-    "HotIndex",
-    "TIER0_STATS",
-    "slot_owner",
-    "DistillSelection",
-    "ResolvedTier0",
-    "build_artifact",
-    "distill",
-    "hot_index_for",
-    "load_artifact",
-    "profile_rule_hits",
-    "resolve_artifact",
-    "select_tier0",
-    "write_artifact",
     "dump_rules",
     "load_rules",
     "save_rules",

@@ -7,12 +7,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.errors import RuleError
 from repro.isa.instruction import Instruction
-from repro.learning.rule import (
-    CanonicalKey,
-    TranslationRule,
-    guest_key,
-    window_keys,
-)
+from repro.learning.rule import CanonicalKey, TranslationRule, window_keys
 
 
 @dataclass
@@ -101,26 +96,6 @@ class RuleSet:
             return rule
         return self._specific.get(specific)
 
-    def lookup_legacy(
-        self, window: Sequence[Instruction]
-    ) -> Optional[TranslationRule]:
-        """The pre-fast-path lookup: one canonicalization pass per probe.
-
-        Kept verbatim as the honest A/B baseline for ``repro bench
-        --distill`` — :func:`window_keys` computes both keys in a single
-        walk, this recomputes from scratch per index.  Must return exactly
-        what :meth:`lookup` returns (the distill parity gate covers this).
-        """
-        try:
-            general = guest_key(window, with_values=False)
-        except RuleError:
-            return None
-        rule = self._generalized.get(general)
-        if rule is not None:
-            return rule
-        specific = guest_key(window, with_values=True)
-        return self._specific.get(specific)
-
     def max_guest_length(self) -> int:
         return max((rule.guest_length for rule in self.rules), default=0)
 
@@ -129,24 +104,6 @@ class RuleSet:
 
     def single_instruction_rules(self) -> List[TranslationRule]:
         return [rule for rule in self.rules if rule.guest_length == 1]
-
-    def partition(self, key_of) -> Dict:
-        """Split into per-key :class:`RuleSet` parts by ``key_of(rule)``.
-
-        Rules are re-added in original insertion order, so each part's
-        lookup index reproduces the flat set's tie-breaks exactly.  As long
-        as ``key_of`` is a function of the rule's guest key (e.g. the first
-        guest mnemonic — every rule matching a given window shares it), a
-        per-part lookup returns the same rule the flat lookup would: this
-        is the invariant the service's sharded rule index relies on.
-        """
-        parts: Dict = {}
-        for rule in self.rules:
-            part = parts.get(key_of(rule))
-            if part is None:
-                part = parts[key_of(rule)] = RuleSet()
-            part.add(rule)
-        return parts
 
     def merged_with(self, other: "RuleSet") -> "RuleSet":
         merged = RuleSet()

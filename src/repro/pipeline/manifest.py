@@ -2,11 +2,10 @@
 
 The publish stage ships a *ruleset body*: a schema-versioned JSON document
 holding the learned, derived, and sequence-derived rules (in index order)
-plus provenance — a generalization of the ``repro-tier0-v1`` artifact from
-:mod:`repro.learning.distill` to the full rule universe.  The body is what
-gets content-addressed and versioned by :class:`repro.pipeline.store
-.RulesetStore`; this module owns its schema and the two directions of the
-mapping:
+plus provenance — the full rule universe every serving stage draws from.
+The body is what gets content-addressed and versioned by
+:class:`repro.pipeline.store.RulesetStore`; this module owns its schema and
+the two directions of the mapping:
 
 * :func:`body_from_setup` — snapshot a derived :class:`~repro.param.engine
   .SystemSetup` into a body (pipeline publish path).

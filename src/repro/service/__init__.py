@@ -5,8 +5,6 @@ and executed in one process and thrown away.  This package turns the
 pipeline into a long-lived serving system:
 
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire protocol;
-* :mod:`repro.service.shards` — the sharded rule index (opcode-class
-  partitioned lookup with per-shard hit counters);
 * :mod:`repro.service.codecache` — the single-flight shared code cache
   (concurrent identical translate requests coalesce onto one compile);
 * :mod:`repro.service.stats` — latency histograms and per-endpoint stats;
@@ -42,13 +40,11 @@ from repro.service.server import (
     TranslationService,
     serve,
 )
-from repro.service.shards import ShardedRuleIndex
 from repro.service.stats import EndpointStats, LatencyHistogram
 
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "ShardedRuleIndex",
     "SingleFlightCodeCache",
     "DiskCodeCache",
     "LatencyHistogram",

@@ -21,27 +21,26 @@ Structure::
   the default thread executor, so the event loop keeps accepting and
   answering while blocks compile.
 * **Sharing** — all requests share one single-flight code cache
-  (:mod:`repro.service.codecache`) and per-stage sharded rule indices
-  (:mod:`repro.service.shards`): a hot program is translated and compiled
-  once, ever, per (program, stage).
+  (:mod:`repro.service.codecache`) and look rules up straight from the
+  frozen per-stage :class:`~repro.learning.ruleset.RuleSet`: a hot program
+  is translated and compiled once, ever, per (program, stage).
 * **Hot reload** — the serving ruleset lives in an immutable
-  :class:`_Generation` (identity + per-stage configs/indices + unit memo).
+  :class:`_Generation` (ruleset identity + per-stage configs + unit memo).
   Every request reads ``self._generation`` exactly once and carries that
   object through translate/compile/execute, so the ``reload`` admin op (or
-  the ``--watch-interval`` store watcher) can build a new generation's
-  index in the background and swap the attribute atomically: in-flight
-  requests finish on the generation they started with (natural drain — the
-  old generation is garbage-collected when its last request completes),
-  new requests see the new version, and no request ever mixes rules from
-  two versions.  Code-cache keys include the ruleset digest, so a swapped
-  version can never be served stale compiled blocks.
+  the ``--watch-interval`` store watcher) can load a new generation in the
+  background and swap the attribute atomically: in-flight requests finish
+  on the generation they started with (natural drain — the old generation
+  is garbage-collected when its last request completes), new requests see
+  the new version, and no request ever mixes rules from two versions.
+  Code-cache keys include the ruleset digest, so a swapped version can
+  never be served stale compiled blocks.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import hashlib
 import os
 import signal
@@ -66,7 +65,6 @@ from repro.service import protocol
 from repro.service.codecache import SingleFlightCodeCache
 from repro.service.diskcode import CLAIMED, DiskCodeCache
 from repro.service.protocol import ProtocolError
-from repro.service.shards import DEFAULT_SHARDS, ShardedRuleIndex, Tier0Front
 from repro.service.stats import EndpointStats
 
 
@@ -81,7 +79,6 @@ class ServiceConfig:
     #: "quick" trains on the two-benchmark difftest training set (seconds of
     #: warm-up); "full" uses the full-suite rule set (minutes, best rules).
     training: str = "quick"
-    shards: int = DEFAULT_SHARDS
     cache_blocks: int = 4096
     #: queued (admitted, not yet running) requests before backpressure.
     max_queue: int = 64
@@ -101,12 +98,6 @@ class ServiceConfig:
     #: layer (generated source stays in-process only).  The pre-fork pool
     #: always sets this so sibling workers share compiled blocks.
     disk_code_dir: Optional[str] = None
-    #: path to a distilled tier-0 artifact (``repro distill``); None serves
-    #: every lookup from the sharded full index.  The artifact fronts only
-    #: the stage it was distilled for and is resolved onto the serving rule
-    #: set at load — a stale artifact degrades to the full index instead of
-    #: changing any response bytes.
-    tier0_path: Optional[str] = None
     #: enable the test-only ``_sleep`` op (deterministic backpressure /
     #: timeout exercises); never enable on a real deployment.
     debug_ops: bool = False
@@ -118,6 +109,22 @@ class ServiceConfig:
     #: seconds between ``latest``-pointer polls; 0 disables the watcher
     #: (reloads then happen only through the ``reload`` admin op).
     watch_interval: float = 0.0
+
+    def __post_init__(self) -> None:
+        """Reject values that would otherwise fail late or silently.
+
+        Checked at construction, so a pool parent fails before it binds
+        the listener or forks a worker.
+        """
+        if self.stage not in STAGES:
+            raise ValueError(f"unknown stage {self.stage!r}")
+        if self.backend not in ("jit", "trace"):
+            raise ValueError(f"backend must be 'jit' or 'trace', got {self.backend!r}")
+        for name in ("handlers", "max_queue", "cache_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.request_timeout > 0:
+            raise ValueError(f"request_timeout must be > 0, got {self.request_timeout}")
 
 
 @dataclass
@@ -174,69 +181,23 @@ def resolve_ruleset(config: ServiceConfig, setup: Optional[SystemSetup] = None):
 
 
 class _Generation:
-    """One immutable serving generation: ruleset identity + lazy indices.
+    """One immutable serving generation: ruleset identity + unit memo.
 
-    All per-ruleset state lives here — stage configs wrapped in sharded
-    indices, and the unit-context memo (contexts cache per-stage
+    All per-ruleset state lives here — the stage configs (through the
+    ruleset) and the unit-context memo (contexts cache per-stage
     translators, which bind configs, so they must never outlive their
     generation).  Requests capture one generation at dispatch and use only
     it; the service swaps the current-generation attribute atomically.
     """
 
-    __slots__ = ("ruleset", "shards", "tier0_payload", "units", "_configs", "_indices", "_lock")
+    __slots__ = ("ruleset", "units")
 
-    def __init__(self, ruleset, shards: int, tier0_payload: Optional[Dict[str, Any]]) -> None:
+    def __init__(self, ruleset) -> None:
         self.ruleset = ruleset
-        self.shards = shards
-        self.tier0_payload = tier0_payload
         self.units = BoundedMemo(maxsize=256, register=False)
-        self._configs: Dict[str, TranslationConfig] = {}
-        self._indices: Dict[str, Any] = {}
-        self._lock = threading.Lock()
 
     def config_for(self, stage: str) -> TranslationConfig:
-        """The stage's TranslationConfig, rules wrapped in a sharded index."""
-        with self._lock:
-            cfg = self._configs.get(stage)
-            if cfg is None:
-                base = self.ruleset.config_for(stage)
-                if base.rules is None:  # the rule-less qemu baseline stage
-                    cfg = base
-                else:
-                    index = self._build_index(stage, base.rules)
-                    self._indices[stage] = index
-                    cfg = dataclasses.replace(base, rules=index)
-                self._configs[stage] = cfg
-            return cfg
-
-    def _build_index(self, stage: str, rules):
-        """Sharded index for a stage, fronted by tier-0 when it applies.
-
-        The tier-0 artifact names the stage it was distilled for; other
-        stages keep the plain sharded index.  After a hot swap the artifact
-        re-resolves onto the new rules — rules it no longer matches are
-        dropped (``stale`` flagged), so a stale artifact degrades to the
-        full index instead of changing any response bytes.
-        """
-        payload = self.tier0_payload
-        if payload is None or payload.get("stage") != stage:
-            return ShardedRuleIndex(rules, self.shards)
-        from repro.learning.distill import resolve_artifact
-
-        resolved = resolve_artifact(payload, rules)
-        return Tier0Front(
-            resolved.rules,
-            rules,
-            self.shards,
-            coverage=resolved.coverage,
-            digest=resolved.digest,
-            dropped=resolved.dropped,
-            stale=resolved.stale,
-        )
-
-    def indices(self) -> Dict[str, Any]:
-        with self._lock:
-            return dict(self._indices)
+        return self.ruleset.config_for(stage)
 
 
 class _UnitContext:
@@ -276,24 +237,10 @@ class TranslationService:
         setup: Optional[SystemSetup] = None,
         ruleset=None,
     ) -> None:
-        if config.stage not in STAGES:
-            raise ValueError(f"unknown stage {config.stage!r}")
-        if config.backend not in ("jit", "trace"):
-            raise ValueError(
-                f"unknown service backend {config.backend!r}; "
-                "expected 'jit' or 'trace'"
-            )
         self.config = config
         if ruleset is None:
             ruleset = resolve_ruleset(config, setup=setup)
-        self._tier0_payload: Optional[Dict[str, Any]] = None
-        if config.tier0_path:
-            from repro.learning.distill import load_artifact
-
-            self._tier0_payload = load_artifact(config.tier0_path)
-        self._generation = _Generation(
-            ruleset, config.shards, self._tier0_payload
-        )
+        self._generation = _Generation(ruleset)
         self.ruleset_store = None
         if config.ruleset_store:
             from repro.pipeline.store import RulesetStore
@@ -351,11 +298,9 @@ class TranslationService:
     def reload_ruleset(self, version: Optional[str] = None) -> Dict[str, Any]:
         """Swap to a store version (default: ``latest``) without a restart.
 
-        Blocking (call from an executor thread).  Builds the new
-        generation's default-stage sharded index + tier-0 front *before*
-        the swap, so the first request on the new version pays no index
-        build; the attribute assignment is atomic and in-flight requests
-        drain on the generation they captured.  Raises
+        Blocking (call from an executor thread).  The new generation is
+        fully loaded before the swap; the attribute assignment is atomic and
+        in-flight requests drain on the generation they captured.  Raises
         :class:`~repro.errors.ReproError` on a missing/corrupt version —
         the serving generation is untouched on any failure.
         """
@@ -380,9 +325,7 @@ class TranslationService:
             ruleset = serving_ruleset_from_body(
                 loaded["body"], version=target, digest=loaded["body_sha256"]
             )
-            generation = _Generation(ruleset, self.config.shards, self._tier0_payload)
-            generation.config_for(self.config.stage)  # pre-build the hot index
-            self._generation = generation  # atomic swap; old gen drains out
+            self._generation = _Generation(ruleset)  # atomic swap; old gen drains out
             self.ruleset_swaps += 1
             self._swap_history.append(target)
             return {
@@ -638,7 +581,6 @@ class TranslationService:
             errors = dict(self.error_counts)
             total = self.requests_total
         gen = self._generation
-        indices = gen.indices()
         payload: Dict[str, Any] = {
             "protocol_version": protocol.PROTOCOL_VERSION,
             "pid": os.getpid(),
@@ -655,9 +597,6 @@ class TranslationService:
             "requests": {"total": total, "errors_by_code": errors},
             "endpoints": self.endpoints.summary(),
             "code_cache": self.code_cache.stats(),
-            "rule_index": {
-                stage: index.stats() for stage, index in indices.items()
-            },
             "units_cached": len(gen.units),
             "caches": stats_payload(include_disk=False),
         }
@@ -684,7 +623,7 @@ class TranslationService:
     async def _op_reload(self, obj: Dict[str, Any]) -> Dict[str, Any]:
         """Admin op: hot-swap to a store version (default ``latest``).
 
-        The index build runs in the executor, so serving (and the event
+        The ruleset load runs in the executor, so serving (and the event
         loop) never blocks on it; failures leave the current generation in
         place and report ``bad-request``.
         """
@@ -800,7 +739,7 @@ class ServiceServer:
     async def _watch_ruleset(self) -> None:
         """Poll the store's ``latest`` pointer and hot-swap when it moves.
 
-        Store reads and the swap's index build both run in the executor; a
+        Store reads and the swap's ruleset load both run in the executor; a
         broken store read (mid-GC, partial copy, NFS hiccup) is retried
         next tick — the watcher must never take serving down.
         """

@@ -92,7 +92,7 @@ class TestServiceCli:
         args = build_parser().parse_args(["serve", "--port", "0", "--workers", "2"])
         assert args.port == 0 and args.workers == 2
         assert args.stage == "condition" and args.training == "quick"
-        assert args.shards == 8 and args.max_queue == 64
+        assert args.max_queue == 64
 
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(
@@ -104,3 +104,10 @@ class TestServiceCli:
     def test_serve_rejects_unknown_stage(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--stage", "nope"])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_rejects_bad_size_before_binding(self, capsys, workers):
+        """Exit 2 with a message, before training, binding or forking."""
+        code = main(["serve", "--port", "0", "--workers", workers, "--handlers", "0"])
+        assert code == 2
+        assert "handlers must be >= 1" in capsys.readouterr().err

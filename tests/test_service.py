@@ -1,16 +1,15 @@
 """Tests for the translation-as-a-service subsystem (``repro.service``).
 
-Covers the sharded rule index (lookup parity with the flat RuleSet), the
-single-flight code cache (coalescing, failure retry, eviction accounting),
-latency histograms, the asyncio server's protocol/robustness guarantees
-(malformed-request isolation, backpressure, timeouts, graceful drain), the
-run endpoint's oracle parity, and a short in-process loadgen run.
+Covers service configuration validation, the single-flight code cache
+(coalescing, failure retry, eviction accounting), latency histograms, the
+asyncio server's protocol/robustness guarantees (malformed-request
+isolation, backpressure, timeouts, graceful drain), the run endpoint's
+oracle parity, and a short in-process loadgen run.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import time
 
@@ -19,7 +18,6 @@ import pytest
 from repro.service import protocol
 from repro.service.codecache import SingleFlightCodeCache
 from repro.service.server import ServiceConfig, TranslationService, start_server
-from repro.service.shards import ShardedRuleIndex, shard_of
 from repro.service.stats import EndpointStats, LatencyHistogram
 
 
@@ -32,63 +30,25 @@ def service_setup():
 
 
 # ---------------------------------------------------------------------------
-# sharded rule index
+# configuration validation
 
 
-class TestShardedRuleIndex:
-    def test_shard_of_is_stable_and_bounded(self):
-        assert shard_of("add", 8) == shard_of("add", 8)
-        assert all(0 <= shard_of(m, 5) < 5 for m in ("add", "sub", "ldr", "b"))
-
-    def test_rejects_bad_shard_count(self, demo_rules):
-        with pytest.raises(ValueError):
-            ShardedRuleIndex(demo_rules.freeze(), num_shards=0)
-
-    def test_translation_parity_with_flat_ruleset(self, demo_pair, demo_setup):
-        """Sharded lookup must reproduce the flat index's choices exactly."""
-        from repro.dbt.block import BlockMap
-        from repro.dbt.translator import BlockTranslator
-
-        base = demo_setup.configs["condition"]
-        index = ShardedRuleIndex(base.rules, num_shards=8)
-        assert len(index) == len(base.rules)
-        assert index.max_guest_length() == base.rules.max_guest_length()
-        assert index.frozen
-
-        unit = demo_pair.guest
-        blockmap = BlockMap(unit)
-        flat = BlockTranslator(unit, blockmap, base)
-        sharded = BlockTranslator(
-            unit, BlockMap(unit), dataclasses.replace(base, rules=index)
-        )
-        for block in blockmap.blocks:
-            a = flat.translate(block)
-            b = sharded.translate(block)
-            assert [str(i) for i in a.host] == [str(i) for i in b.host]
-            assert a.covered == b.covered
-        assert index.lookups() > 0
-
-    def test_stats_shape(self, demo_setup):
-        index = ShardedRuleIndex(demo_setup.configs["condition"].rules, 4)
-        stats = index.stats()
-        assert stats["num_shards"] == 4
-        assert stats["rules"] == len(index)
-        assert len(stats["shards"]) == 4
-        assert sum(s["rules"] for s in stats["shards"]) == stats["rules"]
-        for shard in stats["shards"]:
-            # every mnemonic in a shard must actually hash there
-            for mnemonic in shard["mnemonics"]:
-                assert shard_of(mnemonic, 4) == shard["shard"]
-            assert shard["opcode_classes"] == sorted(set(shard["opcode_classes"]))
-
-    def test_lookup_counters(self, demo_setup):
-        from repro.isa.arm import assemble as arm_assemble
-
-        index = ShardedRuleIndex(demo_setup.configs["condition"].rules, 4)
-        window = tuple(arm_assemble("add r0, r1, r2"))
-        index.lookup(window)
-        index.lookup(())
-        assert index.lookups() == 1  # empty windows don't touch a shard
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("handlers", 0),
+        ("max_queue", 0),
+        ("request_timeout", 0.0),
+        ("request_timeout", -1.0),
+        ("cache_blocks", 0),
+        ("stage", "nope"),
+        ("backend", "interp"),
+    ],
+)
+def test_service_config_rejects_bad_values(field, value):
+    """Values that would fail silently once serving are refused up front."""
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +184,7 @@ class TestServiceServer:
                 result = st["result"]
                 assert result["requests"]["total"] >= 2
                 assert result["code_cache"]["compiles"] > 0
-                assert "condition" in result["rule_index"]
+                assert result["ruleset"]["rules"]["serving"] > 0
                 assert result["server"]["connections"] == 1
                 assert "process" in result["caches"]  # shared serializer payload
                 writer.close()
