@@ -15,14 +15,25 @@ escape dispatch overhead:
   literal-keyed dict access (``regs['g_r0']``), an immediate a constant,
   an aligned constant-address memory operand (the CPU environment slots)
   a precomputed word index into the memory dict;
-* **run fusion** — each maximal straight-line run compiles to one
-  generated function with the instruction semantics inlined (no function
-  call per instruction), and the run's weighted per-category instruction
-  counts (:data:`repro.dbt.executor.WEIGHTS`) are pre-aggregated into one
-  batched ``counts`` update per run;
-* **resolved control flow** — branch targets become run indices returned
-  by the run function, and condition codes become inlined predicates over
-  the flag file;
+* **run fusion** — a block compiles to one generated function,
+  ``_block(st, counts)``, with the instruction semantics inlined (no
+  function call per instruction).  Each maximal straight-line run is one
+  section of it, in index order, guarded by ``if _n == ri:``; the run's
+  weighted per-category instruction counts
+  (:data:`repro.dbt.executor.WEIGHTS`) are pre-aggregated into one
+  batched ``counts`` update per section;
+* **dead flag stores** — one backward scan per run over ``flags_set`` /
+  ``flags_read`` finds host-flag stores that a later instruction of the
+  same run overwrites before anything reads them, and leaves them out.
+  The end of a run counts as reading every flag.  An ``addl``/``subl``/
+  ``andl``/``orl``/``xorl`` on registers and immediates whose flags are
+  all dead compiles to one masked assignment without temporaries;
+* **resolved control flow** — branch targets become run indices stored
+  in ``_n`` (the section guards select the next run; leaving the block
+  returns), and condition codes become inlined predicates over the flag
+  file.  Translated blocks only branch forward; a block with a backward
+  edge instead compiles to one function per run behind the interpreter's
+  runaway guard (:class:`GuardedCompiledBlock`);
 * **block chaining** — each compiled block carries a ``chain`` map from
   successor guest-block index to the successor's compiled body; the
   engine's jit loop (:meth:`repro.dbt.engine.DBTEngine.run`) transfers
@@ -43,18 +54,26 @@ the shared semantics function, which is always correct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.dbt.executor import _MAX_BLOCK_STEPS, WEIGHTS
 from repro.dbt.runtime import DISPATCH_LABEL
 from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
+from repro.isa.flags import NZCV
 from repro.isa.instruction import Instruction, InstructionDef
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.x86.opcodes import X86
 
 _MASK = 0xFFFFFFFF
 _M = "0xFFFFFFFF"
+
+_NONE: FrozenSet[str] = frozenset()
+
+#: Bump whenever generated block source changes shape or meaning.  It is
+#: part of the disk code cache key, so entries written by an older
+#: codegen become misses instead of being executed.
+BLOCK_CODEGEN_VERSION = "block-v2"
 
 #: Run-index sentinel: control leaves the block (the dispatch-label exit).
 EXIT = -1
@@ -169,22 +188,40 @@ _SIZED_LOAD = {"movzbl": 1, "movzwl": 2}
 _SIZED_STORE = {"movb": 1, "movw": 2}
 
 
-def _emit_nzcv(a: str, b: str, f: str, r: str, out: List[str]) -> None:
-    out.append(f"flags['N'] = {r} >> 31")
-    out.append(f"flags['Z'] = 1 if {r} == 0 else 0")
-    out.append(f"flags['C'] = ({f} >> 32) & 1")
-    out.append(f"flags['V'] = ((~({a} ^ {b}) & ({a} ^ {r})) >> 31) & 1")
+def _emit_nzcv(a: str, b: str, f: str, r: str, out: List[str], dead) -> None:
+    if "N" not in dead:
+        out.append(f"flags['N'] = {r} >> 31")
+    if "Z" not in dead:
+        out.append(f"flags['Z'] = 1 if {r} == 0 else 0")
+    if "C" not in dead:
+        out.append(f"flags['C'] = ({f} >> 32) & 1")
+    if "V" not in dead:
+        out.append(f"flags['V'] = ((~({a} ^ {b}) & ({a} ^ {r})) >> 31) & 1")
 
 
-def _emit_nz_cv0(r: str, out: List[str]) -> None:
-    out.append(f"flags['N'] = {r} >> 31")
-    out.append(f"flags['Z'] = 1 if {r} == 0 else 0")
-    out.append("flags['C'] = 0")
-    out.append("flags['V'] = 0")
+def _emit_nz_cv0(r: str, out: List[str], dead) -> None:
+    if "N" not in dead:
+        out.append(f"flags['N'] = {r} >> 31")
+    if "Z" not in dead:
+        out.append(f"flags['Z'] = 1 if {r} == 0 else 0")
+    if "C" not in dead:
+        out.append("flags['C'] = 0")
+    if "V" not in dead:
+        out.append("flags['V'] = 0")
 
 
-def _emit_addsub(k, insn, out, subtract: bool, use_carry: bool) -> None:
+def _simple(op) -> bool:
+    return isinstance(op, (Reg, Imm))
+
+
+def _emit_addsub(k, insn, out, subtract: bool, use_carry: bool, dead) -> None:
     src, dst = insn.operands
+    if not use_carry and dead >= NZCV and _simple(src) and isinstance(dst, Reg):
+        # Every flag is dead: the masked sum alone, no temporaries.  The
+        # operands are still read destination first.
+        lhs, rhs = _read(dst, out, ""), _read(src, out, "")
+        _write(dst, f"({lhs} {'-' if subtract else '+'} {rhs}) & {_M}", out, "")
+        return
     a, b, f, r = f"_x{k}", f"_y{k}", f"_f{k}", f"_r{k}"
     out.append(f"{a} = {_read(dst, out, f'{k}d')}")
     rhs = _read(src, out, f"{k}s")
@@ -193,30 +230,33 @@ def _emit_addsub(k, insn, out, subtract: bool, use_carry: bool) -> None:
     out.append(f"{f} = {a} + {b} + {cin}")
     out.append(f"{r} = {f} & {_M}")
     _write(dst, r, out, f"{k}w")
-    _emit_nzcv(a, b, f, r, out)
+    _emit_nzcv(a, b, f, r, out, dead)
 
 
-def _emit_cmpl(k, insn, out) -> None:
+def _emit_cmpl(k, insn, out, dead) -> None:
     src, dst = insn.operands
     a, b, f, r = f"_x{k}", f"_y{k}", f"_f{k}", f"_r{k}"
     out.append(f"{a} = {_read(dst, out, f'{k}d')}")
     out.append(f"{b} = {_read(src, out, f'{k}s')} ^ {_M}")
     out.append(f"{f} = {a} + {b} + 1")
     out.append(f"{r} = {f} & {_M}")
-    _emit_nzcv(a, b, f, r, out)
+    _emit_nzcv(a, b, f, r, out, dead)
 
 
-def _emit_logic(k, insn, out, op: str) -> None:
+def _emit_logic(k, insn, out, op: str, dead) -> None:
     src, dst = insn.operands
-    r = f"_r{k}"
     rhs = _read(src, out, f"{k}s")
     lhs = _read(dst, out, f"{k}d")
+    if dead >= NZCV and _simple(src) and isinstance(dst, Reg):
+        _write(dst, f"{lhs} {op} {rhs}", out, "")
+        return
+    r = f"_r{k}"
     out.append(f"{r} = {lhs} {op} {rhs}")
     _write(dst, r, out, f"{k}w")
-    _emit_nz_cv0(r, out)
+    _emit_nz_cv0(r, out, dead)
 
 
-def _emit_shift(k, insn, out, mnemonic: str) -> None:
+def _emit_shift(k, insn, out, mnemonic: str, dead) -> None:
     src, dst = insn.operands
     a, b, r = f"_x{k}", f"_y{k}", f"_r{k}"
     out.append(f"{a} = {_read(dst, out, f'{k}d')}")
@@ -231,29 +271,33 @@ def _emit_shift(k, insn, out, mnemonic: str) -> None:
             f" >> ({b} if {b} < 31 else 31)) & {_M}"
         )
     _write(dst, r, out, f"{k}w")
-    _emit_nz_cv0(r, out)
+    _emit_nz_cv0(r, out, dead)
 
 
-def _emit_testl(k, insn, out) -> None:
+def _emit_testl(k, insn, out, dead) -> None:
     src, dst = insn.operands
     r = f"_r{k}"
     rhs = _read(src, out, f"{k}s")
     lhs = _read(dst, out, f"{k}d")
     out.append(f"{r} = {lhs} & {rhs}")
-    _emit_nz_cv0(r, out)
+    _emit_nz_cv0(r, out, dead)
 
 
-def _emit_negl(k, insn, out) -> None:
+def _emit_negl(k, insn, out, dead) -> None:
     (op,) = insn.operands
     b, f, r = f"_y{k}", f"_f{k}", f"_r{k}"
     out.append(f"{b} = {_read(op, out, f'{k}d')} ^ {_M}")
     out.append(f"{f} = {b} + 1")
     out.append(f"{r} = {f} & {_M}")
     _write(op, r, out, f"{k}w")
-    out.append(f"flags['N'] = {r} >> 31")
-    out.append(f"flags['Z'] = 1 if {r} == 0 else 0")
-    out.append(f"flags['C'] = ({f} >> 32) & 1")
-    out.append(f"flags['V'] = ((~{b} & {r}) >> 31) & 1")
+    if "N" not in dead:
+        out.append(f"flags['N'] = {r} >> 31")
+    if "Z" not in dead:
+        out.append(f"flags['Z'] = 1 if {r} == 0 else 0")
+    if "C" not in dead:
+        out.append(f"flags['C'] = ({f} >> 32) & 1")
+    if "V" not in dead:
+        out.append(f"flags['V'] = ((~{b} & {r}) >> 31) & 1")
 
 
 def _emit_umlal(k, insn, out) -> None:
@@ -269,42 +313,52 @@ def _emit_umlal(k, insn, out) -> None:
 
 
 def _emit_insn(
-    k: int, insn: Instruction, defn: InstructionDef, out: List[str], ns: Dict
+    k: int,
+    insn: Instruction,
+    defn: InstructionDef,
+    out: List[str],
+    ns: Dict,
+    dead: FrozenSet[str] = _NONE,
 ) -> None:
-    """Append source lines executing one non-branch instruction."""
+    """Append source lines executing one non-branch instruction.
+
+    *dead* names host flags this instruction sets that nothing reads
+    before they are set again; their stores are left out.  The default
+    (nothing dead) emits every store.
+    """
     m = insn.mnemonic
     if m in ("movl", "movl_s"):
         _write(
             insn.operands[1], _read(insn.operands[0], out, f"{k}s"), out, f"{k}w"
         )
     elif m == "addl":
-        _emit_addsub(k, insn, out, subtract=False, use_carry=False)
+        _emit_addsub(k, insn, out, False, False, dead)
     elif m == "subl":
-        _emit_addsub(k, insn, out, subtract=True, use_carry=False)
+        _emit_addsub(k, insn, out, True, False, dead)
     elif m == "adcl":
-        _emit_addsub(k, insn, out, subtract=False, use_carry=True)
+        _emit_addsub(k, insn, out, False, True, dead)
     elif m == "sbbl":
-        _emit_addsub(k, insn, out, subtract=True, use_carry=True)
+        _emit_addsub(k, insn, out, True, True, dead)
     elif m in _LOGIC_OPS:
-        _emit_logic(k, insn, out, _LOGIC_OPS[m])
+        _emit_logic(k, insn, out, _LOGIC_OPS[m], dead)
     elif m in ("shll", "shrl", "sarl"):
-        _emit_shift(k, insn, out, m)
+        _emit_shift(k, insn, out, m, dead)
     elif m == "imull":  # no flags (host imull leaves them undefined)
         src, dst = insn.operands
         lhs = _read(dst, out, f"{k}d")
         rhs = _read(src, out, f"{k}s")
         _write(dst, f"({lhs} * {rhs}) & {_M}", out, f"{k}w")
     elif m == "cmpl":
-        _emit_cmpl(k, insn, out)
+        _emit_cmpl(k, insn, out, dead)
     elif m == "testl":
-        _emit_testl(k, insn, out)
+        _emit_testl(k, insn, out, dead)
     elif m == "leal":
         _write(insn.operands[1], _addr_expr(insn.operands[0]), out, f"{k}w")
     elif m == "notl":
         (op,) = insn.operands
         _write(op, f"{_read(op, out, f'{k}s')} ^ {_M}", out, f"{k}w")
     elif m == "negl":
-        _emit_negl(k, insn, out)
+        _emit_negl(k, insn, out, dead)
     elif m in _SIZED_LOAD and isinstance(insn.operands[0], Mem):
         addr = _addr_expr(insn.operands[0])
         _write(
@@ -361,6 +415,14 @@ _PRED_EXPR: Dict[str, str] = {
 
 
 # -- run fusion ----------------------------------------------------------------
+#
+# A run's exit is ``(pred, taken, fall)``: ``taken`` is the next run index
+# (:data:`EXIT` to leave the block, None when control falls off the end of
+# the host code), and when ``pred`` is set the run goes to ``taken`` if the
+# predicate holds and to ``fall`` otherwise.
+
+_Exit = Tuple[Optional[str], Optional[int], Optional[int]]
+_FELL_THROUGH = "raise ExecutionError('translated block fell through its end')"
 
 
 def _run_leaders(tb: TranslatedBlock, defs) -> List[int]:
@@ -373,24 +435,40 @@ def _run_leaders(tb: TranslatedBlock, defs) -> List[int]:
     return sorted(leaders)
 
 
+def _dead_flags(defs, start: int, end: int) -> Dict[int, FrozenSet[str]]:
+    """Flags each instruction of ``host[start:end)`` sets that go unread.
+
+    One backward scan over ``flags_set``/``flags_read``.  The end of the
+    run counts as reading every flag: the branch ending it, a later run,
+    a chained successor block or the dispatch loop may read any of them.
+    """
+    live = NZCV
+    dead: Dict[int, FrozenSet[str]] = {}
+    for k in range(end - 1, start - 1, -1):
+        defn = defs[k]
+        if defn.flags_set:
+            unread = defn.flags_set - live
+            if unread:
+                dead[k] = unread
+            live = live - defn.flags_set
+        if defn.flags_read:
+            live = live | defn.flags_read
+    return dead
+
+
 def _gen_run(
     tb: TranslatedBlock,
     defs,
-    ri: int,
     start: int,
     end: int,
     run_of: Dict[int, int],
     ns: Dict,
-) -> Tuple[List[str], int]:
-    """Generate the source of run *ri* covering ``host[start:end)``.
+) -> Tuple[List[str], _Exit]:
+    """Generate the body of the run covering ``host[start:end)``.
 
-    Returns ``(source_lines, step_count, successor_run_indices)``.  The
-    successor list drives the compile-time forward-only (DAG) proof that
-    lets :class:`CompiledBlock` drop the runtime runaway guard.  The
-    generated function
-    ``_run{ri}(st, counts)`` executes the run, applies its pre-aggregated
-    category counts, and returns the next run index (:data:`EXIT` when
-    control leaves the block through the dispatch stub).
+    Returns ``(body_lines, exit)``: the body executes the run and applies
+    its pre-aggregated category counts; the caller renders the exit in
+    the form of the function the body lands in.
     """
     host = tb.host
     agg: Dict[str, int] = {}
@@ -401,66 +479,105 @@ def _gen_run(
     terminator = host[end - 1] if defs[end - 1].is_branch else None
     body_end = end - 1 if terminator is not None else end
 
+    dead = _dead_flags(defs, start, body_end)
     body: List[str] = []
     for k in range(start, body_end):
-        body.append(f"# {host[k]}")
-        _emit_insn(k, host[k], defs[k], body, ns)
+        _emit_insn(k, host[k], defs[k], body, ns, dead.get(k, _NONE))
     for cat, weight in sorted(agg.items()):
         body.append(f"counts[{cat!r}] = counts.get({cat!r}, 0) + {weight}")
 
-    successors: List[int] = []
-
-    def resolve(label: Label) -> int:
-        if label.name == DISPATCH_LABEL:
-            return EXIT
-        pos = tb.labels.get(label.name)
-        if pos is None or pos not in run_of:
-            raise ExecutionError(f"unresolved branch target {label.name!r}")
-        return run_of[pos]
-
     if terminator is None:
-        nxt = run_of.get(end)
-        if nxt is None:
-            # Fell off the end of the host code: the interpreter would
-            # fault here too; keep the failure explicit.
-            body.append(
-                "raise ExecutionError('translated block fell through its end')"
-            )
-        else:
-            successors.append(nxt)
-            body.append(f"return {nxt}")
+        # Falling off the end of the host code faults in the interpreter
+        # too; the exit keeps the failure explicit.
+        return body, (None, run_of.get(end), None)
+    target = terminator.operands[0] if terminator.operands else None
+    if not isinstance(target, Label):
+        raise ExecutionError(f"cannot compile block terminator {terminator}")
+    if target.name == DISPATCH_LABEL:
+        taken = EXIT
     else:
-        target = terminator.operands[0] if terminator.operands else None
-        if not isinstance(target, Label):
-            raise ExecutionError(f"cannot compile block terminator {terminator}")
-        body.append(f"# {terminator}")
-        cond = defs[end - 1].cond
-        taken = resolve(target)
-        if taken >= 0:
-            successors.append(taken)
-        if cond is None:
-            body.append(f"return {taken}")
-        else:
-            fall = run_of.get(end)
-            if fall is None:
-                raise ExecutionError("conditional branch at end of host code")
-            successors.append(fall)
-            body.append(f"return {taken} if ({_PRED_EXPR[cond]}) else {fall}")
+        pos = tb.labels.get(target.name)
+        if pos is None or pos not in run_of:
+            raise ExecutionError(f"unresolved branch target {target.name!r}")
+        taken = run_of[pos]
+    cond = defs[end - 1].cond
+    if cond is None:
+        return body, (None, taken, None)
+    fall = run_of.get(end)
+    if fall is None:
+        raise ExecutionError("conditional branch at end of host code")
+    return body, (_PRED_EXPR[cond], taken, fall)
 
-    lines = [
-        f"def _run{ri}(st, counts):",
-        "    regs = st.regs; mem = st.memory; flags = st.flags",
-        "    try:",
-    ]
-    lines.extend(f"        {line}" for line in body)
-    lines.append("    except KeyError as _exc:")
-    lines.append("        _uninit(_exc)")
-    lines.append("")
-    return lines, end - start, successors
+
+def _successors(exit_: _Exit) -> List[int]:
+    _pred, taken, fall = exit_
+    return [nxt for nxt in (taken, fall) if nxt is not None and nxt != EXIT]
+
+
+def _return_exit(exit_: _Exit) -> List[str]:
+    """Exit of a run function: return the next run index."""
+    pred, taken, fall = exit_
+    if taken is None:
+        return [_FELL_THROUGH]
+    if pred is None:
+        return [f"return {taken}"]
+    return [f"return {taken} if ({pred}) else {fall}"]
+
+
+def _section_exit(exit_: _Exit) -> List[str]:
+    """Exit of a block-function section: set ``_n`` or leave the block."""
+    pred, taken, fall = exit_
+    if taken is None:
+        return [_FELL_THROUGH]
+    if pred is None:
+        return ["return"] if taken == EXIT else [f"_n = {taken}"]
+    if taken == EXIT:
+        return [f"if {pred}: return", f"_n = {fall}"]
+    return [f"_n = {taken} if ({pred}) else {fall}"]
+
+
+_PROLOGUE = "    regs = st.regs; mem = st.memory; flags = st.flags"
+_EPILOGUE = ("    except KeyError as _exc:", "        _uninit(_exc)", "")
+
+
+def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
+    """One ``_block(st, counts)`` function for a forward-only run graph.
+
+    Each run is a section in index order; every section after the first
+    is guarded by ``if _n == ri:``.  Control only moves to later runs, so
+    one pass over the sections runs each taken run once, in order.
+    """
+    lines = ["def _block(st, counts):", _PROLOGUE, "    try:"]
+    for ri, (body, exit_) in enumerate(runs):
+        pad = "            " if ri else "        "
+        if ri:
+            lines.append(f"        if _n == {ri}:")
+        lines.extend(pad + line for line in body)
+        lines.extend(pad + line for line in _section_exit(exit_))
+    lines.extend(_EPILOGUE)
+    return lines
+
+
+def _run_functions(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
+    """One ``_run{ri}(st, counts)`` function per run, each returning the
+    next run index (:data:`EXIT` to leave the block)."""
+    lines: List[str] = []
+    for ri, (body, exit_) in enumerate(runs):
+        lines.extend((f"def _run{ri}(st, counts):", _PROLOGUE, "    try:"))
+        lines.extend(f"        {line}" for line in body)
+        lines.extend(f"        {line}" for line in _return_exit(exit_))
+        lines.extend(_EPILOGUE)
+    return lines
 
 
 class CompiledBlock:
-    """One translated block, lowered to fused generated-code runs.
+    """One translated block, lowered to one generated Python function.
+
+    ``execute(state, counts)`` runs the block to its dispatch exit against
+    *state*, adding the batched per-category weighted host instruction
+    counts (same totals as the interpreter backend) to ``counts``.  It is
+    the generated function itself, so the engine's call reaches generated
+    code without a wrapper frame.
 
     ``chain`` maps a successor guest-block index to the successor's
     ``CompiledBlock``; the engine populates it the first time an edge is
@@ -474,7 +591,7 @@ class CompiledBlock:
 
     __slots__ = (
         "tb",
-        "runs",
+        "execute",
         "chain",
         "guest_count",
         "covered_count",
@@ -482,44 +599,20 @@ class CompiledBlock:
         "start",
     )
 
-    def __init__(self, tb: TranslatedBlock, runs) -> None:
+    def __init__(self, tb: TranslatedBlock, execute) -> None:
         self.tb = tb
-        self.runs = runs
+        self.execute = execute
         self.chain: Dict[int, "CompiledBlock"] = {}
         self.guest_count = tb.guest_count
         self.covered_count = tb.covered_count
         self.rule_agg = tb.rule_agg
         self.start = tb.start
 
-    def execute(self, state, counts: Dict[str, int]) -> None:
-        """Run the block to its dispatch exit against *state*.
 
-        ``counts`` receives the batched per-category weighted host
-        instruction counts (same totals as the interpreter backend).
-        """
-        runs = self.runs
-        index = runs[0](state, counts)
-        while index >= 0:
-            index = runs[index](state, counts)
+def _guarded(runs, step_counts):
+    """Run-function dispatch loop with the interpreter's runaway guard."""
 
-
-class GuardedCompiledBlock(CompiledBlock):
-    """Compiled block whose run graph contains a backward edge.
-
-    Translated blocks are DAGs in practice, so this is a defensive path:
-    it keeps the interpreter's ``_MAX_BLOCK_STEPS`` runaway guard live at
-    run granularity.
-    """
-
-    __slots__ = ("step_counts",)
-
-    def __init__(self, tb: TranslatedBlock, runs, step_counts) -> None:
-        super().__init__(tb, runs)
-        self.step_counts = step_counts
-
-    def execute(self, state, counts: Dict[str, int]) -> None:
-        runs = self.runs
-        step_counts = self.step_counts
+    def execute(state, counts: Dict[str, int]) -> None:
         index = 0
         steps = 0
         while index >= 0:
@@ -527,6 +620,25 @@ class GuardedCompiledBlock(CompiledBlock):
             if steps > _MAX_BLOCK_STEPS:
                 raise ExecutionError("runaway translated block")
             index = runs[index](state, counts)
+
+    return execute
+
+
+class GuardedCompiledBlock(CompiledBlock):
+    """Compiled block whose run graph contains a backward edge.
+
+    Translated blocks are DAGs in practice, so this is a defensive path:
+    each run is its own generated function, and ``execute`` keeps the
+    interpreter's ``_MAX_BLOCK_STEPS`` runaway guard live at run
+    granularity.
+    """
+
+    __slots__ = ("runs", "step_counts")
+
+    def __init__(self, tb: TranslatedBlock, runs, step_counts) -> None:
+        super().__init__(tb, _guarded(runs, step_counts))
+        self.runs = runs
+        self.step_counts = step_counts
 
 
 @dataclass(frozen=True)
@@ -600,23 +712,17 @@ def generate_block_source(
     starts = _run_leaders(tb, defs)
     run_of = {pos: ri for ri, pos in enumerate(starts)}
     scratch: Dict = {}  # _emit_insn's fallback bindings; rebuilt at exec time
-    source: List[str] = []
-    step_counts: List[int] = []
-    forward_only = True
-    for ri, start in enumerate(starts):
-        end = starts[ri + 1] if ri + 1 < len(starts) else len(tb.host)
-        lines, count, successors = _gen_run(
-            tb, defs, ri, start, end, run_of, scratch
-        )
-        source.extend(lines)
-        step_counts.append(count)
-        if any(nxt <= ri for nxt in successors):
-            forward_only = False
+    bounds = list(zip(starts, starts[1:] + [len(tb.host)]))
+    runs = [_gen_run(tb, defs, start, end, run_of, scratch) for start, end in bounds]
+    forward_only = all(
+        nxt > ri for ri, (_body, exit_) in enumerate(runs) for nxt in _successors(exit_)
+    )
+    lines = _block_function(runs) if forward_only else _run_functions(runs)
     for listener in tuple(_COMPILE_LISTENERS):
         listener(tb)
     return BlockSource(
-        text="\n".join(source),
-        step_counts=tuple(step_counts),
+        text="\n".join(lines),
+        step_counts=tuple(end - start for start, end in bounds),
         forward_only=forward_only,
     )
 
@@ -642,9 +748,9 @@ def compile_block_source(
         ns[f"_i{k}"] = insn
     code = compile(source.text, f"<dbt-block@{tb.start:#x}>", "exec")
     exec(code, ns)  # noqa: S102 - source generated from our own IR
-    runs = tuple(ns[f"_run{ri}"] for ri in range(len(source.step_counts)))
     if source.forward_only:
-        return CompiledBlock(tb, runs)
+        return CompiledBlock(tb, ns["_block"])
+    runs = tuple(ns[f"_run{ri}"] for ri in range(len(source.step_counts)))
     return GuardedCompiledBlock(tb, runs, source.step_counts)
 
 

@@ -47,7 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import fslock
 from repro.cache import PIPELINE_VERSION, atomic_write_text
-from repro.dbt.compiler import BlockSource
+from repro.dbt.compiler import BLOCK_CODEGEN_VERSION, BlockSource
 from repro.dbt.trace import TRACE_CODEGEN_VERSION, TraceSource
 
 #: Bump when the generated-code shape changes incompatibly (new run
@@ -108,11 +108,16 @@ class DiskCodeCache:
     # -- keys and paths ------------------------------------------------------
 
     def key(self, unit_digest: str, stage: str, start: int, training: str) -> str:
-        """Content digest identifying one block's generated source."""
+        """Content digest identifying one block's generated source.
+
+        The block codegen version is mixed in, so a codegen change turns
+        every entry an older build wrote into a miss.
+        """
         canon = json.dumps(
             [
                 DISKCODE_VERSION,
                 PIPELINE_VERSION,
+                BLOCK_CODEGEN_VERSION,
                 unit_digest,
                 stage,
                 start,

@@ -1,19 +1,23 @@
 """Unit tests for the closure-compilation backend (repro.dbt.compiler).
 
 End-to-end backend equivalence is covered by ``tests/test_backend_difftest``;
-these tests pin the compiler's structural properties: run fusion, resolved
-control flow, the forward-only (DAG) proof and its guarded fallback, the
-batched count aggregation, operand fast paths, and error parity with the
-interpreter backend.
+these tests pin the compiler's structural properties: run fusion, dead
+flag-store elision, resolved control flow, the forward-only (DAG) proof
+and its guarded fallback, the batched count aggregation, operand fast
+paths, and error parity with the interpreter backend.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dbt.compiler import (
     EXIT,
     CompiledBlock,
     GuardedCompiledBlock,
+    _emit_insn,
     compile_block,
+    generate_block_source,
 )
 from repro.dbt.executor import WEIGHTS, BlockKernel, HostExecutor
 from repro.dbt.runtime import DISPATCH_LABEL
@@ -21,7 +25,10 @@ from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.x86.opcodes import X86
 from repro.semantics.state import ConcreteState
+from tests.strategies import X86_REGS as _X86_REGS
+from tests.strategies import x86_instructions
 
 
 def _block(host, categories=None, labels=None, covered=None):
@@ -68,7 +75,10 @@ class TestRunFusion:
         )
         cb = compile_block(tb)
         assert type(cb) is CompiledBlock  # forward-only: unguarded
-        assert len(cb.runs) == 1
+        source = generate_block_source(tb)
+        assert source.step_counts == (3,)
+        assert source.text.count("def ") == 1
+        assert "_n" not in source.text  # one run: no section guards
 
     def test_branches_split_runs(self):
         tb = _block(
@@ -82,8 +92,15 @@ class TestRunFusion:
             ],
             labels={"_skip": 4},
         )
-        cb = compile_block(tb)
-        assert len(cb.runs) == 3
+        source = generate_block_source(tb)
+        assert source.forward_only
+        assert source.step_counts == (2, 2, 2)
+        # One function; runs 1 and 2 are guarded sections in index order.
+        text = source.text
+        assert text.count("def ") == 1 and text.startswith("def _block(")
+        assert text.index("if _n == 1:") < text.index("if _n == 2:")
+        assert "if _n == 0:" not in text
+        assert type(compile_block(tb)) is CompiledBlock
 
     def test_counts_pre_aggregated_with_weights(self):
         tb = _block(
@@ -139,6 +156,109 @@ class TestControlFlow:
         state.regs["g_r0"] = 0
         with pytest.raises(ExecutionError, match="runaway translated block"):
             cb.execute(state, {})
+
+
+class TestFlagLiveness:
+    def test_flags_overwritten_in_the_run_are_not_stored(self):
+        tb = _block(
+            [
+                Instruction("addl", (Imm(3), Reg("t0"))),
+                Instruction("cmpl", (Imm(9), Reg("t0"))),
+                _dispatch_jmp(),
+            ]
+        )
+        text = generate_block_source(tb).text
+        add_part, cmp_part = text.split("_x1 = ")  # cmpl's first line
+        assert "flags[" not in add_part  # cmpl overwrites every addl flag
+        assert "_x0" not in add_part  # ... so addl needs no temporaries
+        assert "regs['t0'] = (regs['t0'] + 3) & 0xFFFFFFFF" in add_part
+        assert cmp_part.count("flags[") == 4  # the run's end reads them all
+        for t0 in (0, 6, 0xFFFFFFFE):
+            (istate, ic), (jstate, jc) = _run_both(tb, {"t0": t0})
+            assert (istate.regs, istate.flags, ic) == (jstate.regs, jstate.flags, jc)
+
+    def test_flags_read_before_overwrite_stay_stored(self):
+        tb = _block(
+            [
+                Instruction("addl", (Imm(3), Reg("t0"))),
+                Instruction("adcl", (Imm(0), Reg("t1"))),  # reads C only
+                _dispatch_jmp(),
+            ]
+        )
+        add_part = generate_block_source(tb).text.split("_x1 = ")[0]
+        assert add_part.count("flags[") == 1 and "flags['C'] =" in add_part
+
+    def test_default_emission_stores_every_flag(self):
+        # Trace codegen calls _emit_insn without a dead set; its text must
+        # not change, so the default emits the full template.
+        out = []
+        addl = Instruction("addl", (Reg("t1"), Reg("t0")))
+        _emit_insn(7, addl, X86.defn(addl), out, {})
+        assert out == [
+            "_x7 = regs['t0']",
+            "_y7 = regs['t1']",
+            "_f7 = _x7 + _y7 + 0",
+            "_r7 = _f7 & 0xFFFFFFFF",
+            "regs['t0'] = _r7",
+            "flags['N'] = _r7 >> 31",
+            "flags['Z'] = 1 if _r7 == 0 else 0",
+            "flags['C'] = (_f7 >> 32) & 1",
+            "flags['V'] = ((~(_x7 ^ _y7) & (_x7 ^ _r7)) >> 31) & 1",
+        ]
+
+
+_BODY_INSN = x86_instructions().filter(lambda insn: not X86.defn(insn).is_branch)
+_CATEGORIES = ("rule", "tcg", "data", "control")
+
+
+@st.composite
+def _random_block(draw):
+    """A translated block of random x86 instructions, optionally split by a
+    forward ``je`` into a fall-through arm and a taken arm."""
+    host = draw(st.lists(_BODY_INSN, min_size=1, max_size=8))
+    labels = {}
+    if draw(st.booleans()):
+        fall = draw(st.lists(_BODY_INSN, max_size=5))
+        taken = draw(st.lists(_BODY_INSN, max_size=5))
+        host.append(Instruction("je", (Label("_taken"),)))
+        host.extend(fall)
+        host.append(_dispatch_jmp())
+        labels["_taken"] = len(host)
+        host.extend(taken)
+    host.append(_dispatch_jmp())
+    categories = draw(
+        st.lists(st.sampled_from(_CATEGORIES), min_size=len(host), max_size=len(host))
+    )
+    return _block(host, categories=categories, labels=labels)
+
+
+class TestCodegenProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tb=_random_block(),
+        regs=st.lists(
+            st.integers(0, 0xFFFFFFFF), min_size=len(_X86_REGS), max_size=len(_X86_REGS)
+        ),
+        flags=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    )
+    def test_jit_matches_interp_at_block_exit(self, tb, regs, flags):
+        outcomes = []
+        for backend in ("interp", "jit"):
+            state = ConcreteState()
+            state.regs.update(zip(_X86_REGS, regs))
+            state.regs["esp"] = 0x10000
+            state.flags.update(zip("NZCV", flags))
+            counts = {}
+            try:
+                if backend == "interp":
+                    HostExecutor(state).run_block(tb, counts, BlockKernel(tb))
+                else:
+                    compile_block(tb).execute(state, counts)
+            except ExecutionError as exc:
+                outcomes.append(("error", str(exc)))
+                continue
+            outcomes.append((state.regs, state.memory, state.flags, counts))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestOperandPaths:

@@ -311,7 +311,7 @@ class TestSourceRoundtrip:
 
     def test_cached_source_compiles_identically(self, demo_block, tmp_path):
         """disk-store → disk-load → compile must equal direct compilation:
-        same compiled type, same run structure."""
+        same compiled type, same generated code."""
         tb, defs = demo_block
         cache = DiskCodeCache(tmp_path)
         digest = cache.key("demo", "condition", tb.start, "quick")
@@ -320,7 +320,39 @@ class TestSourceRoundtrip:
         direct = compile_block(tb, defs)
         recompiled = compile_block_source(tb, loaded, defs)
         assert type(recompiled) is type(direct)
-        assert len(recompiled.runs) == len(direct.runs)
+        assert recompiled.execute.__code__.co_code == direct.execute.__code__.co_code
+
+    def test_entry_from_previous_codegen_is_a_miss(
+        self, demo_block, tmp_path, monkeypatch
+    ):
+        """The block codegen version is part of the key: an entry an older
+        codegen wrote is never served, and the block is regenerated."""
+        from repro.semantics.state import ConcreteState
+        from repro.service import diskcode
+
+        tb, defs = demo_block
+        cache = DiskCodeCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(diskcode, "BLOCK_CODEGEN_VERSION", "block-v1")
+            stale = cache.key("demo", "condition", tb.start, "quick")
+        stale_text = "def _block(st, counts):\n    raise AssertionError('stale')\n"
+        cache.store(stale, _source(stale_text))
+
+        digest = cache.key("demo", "condition", tb.start, "quick")
+        assert digest != stale
+        assert cache.load(digest) is None
+        cache.store(digest, generate_block_source(tb, defs))
+        loaded = cache.load(digest)
+        assert loaded == generate_block_source(tb, defs)
+
+        results = []
+        for compiled in (compile_block_source(tb, loaded, defs), compile_block(tb, defs)):
+            state = ConcreteState()
+            state.reset_flags()
+            counts = {}
+            compiled.execute(state, counts)
+            results.append((state.snapshot(), counts))
+        assert results[0] == results[1]
 
     def test_warm_hit_fires_no_compile_listener(self, demo_block):
         """Listeners count *codegen* (work happened), so re-instantiating

@@ -191,3 +191,83 @@ class TestSemantics:
         ARM.defn(insn).semantics(arm_state, insn)
         for flag in "NZCV":
             assert x86_state.get_flag(flag) == arm_state.get_flag(flag)
+
+
+class _RecordingFlags(dict):
+    """Flag file that records which flags are read and which are written."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+        self.written = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+    def __setitem__(self, name, value):
+        self.written.add(name)
+        super().__setitem__(name, value)
+
+
+def _random_operand(rng, kind):
+    from repro.isa.operands import OperandKind as K
+    from repro.isa.x86.registers import GPR_NAMES
+
+    if kind is K.REG:
+        return Reg(rng.choice(GPR_NAMES))
+    if kind is K.IMM:
+        return Imm(rng.choice((0, 1, 31, 32, 0x7FFFFFFF, rng.getrandbits(32))))
+    assert kind is K.MEM, kind
+    return rng.choice(
+        (
+            Mem(disp=rng.getrandbits(16) * 4),
+            Mem(base=Reg(rng.choice(GPR_NAMES)), disp=rng.randint(-64, 64)),
+            Mem(
+                base=Reg(rng.choice(GPR_NAMES)),
+                index=Reg(rng.choice(GPR_NAMES)),
+                scale=rng.choice((1, 2, 4, 8)),
+            ),
+        )
+    )
+
+
+class TestFlagMetadata:
+    """The jit's dead-flag-store elision trusts ``flags_read``/``flags_set``:
+    every semantics function must read only flags it declares and write
+    exactly the flags it declares, on every input."""
+
+    def test_semantics_match_declared_flags(self):
+        import random
+
+        from repro.isa.instruction import Instruction
+        from repro.isa.x86.registers import ALL_REGISTERS
+
+        rng = random.Random(2020)
+        checked = set()
+        for defn in X86.defs.values():
+            if defn.is_branch:
+                continue
+            for signature in defn.signatures:
+                for _ in range(25):
+                    insn = Instruction(
+                        defn.mnemonic,
+                        tuple(_random_operand(rng, kind) for kind in signature),
+                    )
+                    state = ConcreteState()
+                    for name in ALL_REGISTERS:
+                        state.regs[name] = rng.getrandbits(32)
+                    state.regs["esp"] = 0x8000 + 4 * rng.randint(0, 64)
+                    state.flags = _RecordingFlags(
+                        {f: rng.getrandbits(1) for f in "NZCV"}
+                    )
+                    defn.semantics(state, insn)
+                    assert state.flags.read <= defn.flags_read, insn
+                    assert state.flags.written == defn.flags_set, insn
+                    checked.add(defn.mnemonic)
+        non_branch = {d.mnemonic for d in X86.defs.values() if not d.is_branch}
+        assert checked == non_branch

@@ -11,6 +11,7 @@ attacks it the way production does:
 * SIGKILL of a worker mid-session: the parent respawns it, sibling
   workers' connections keep answering, and the exit accounting in
   ``pool.json`` records the crash;
+* SIGKILL of the parent: every orphaned worker drains and exits on its own;
 * SIGTERM of the parent with a request in flight: fan-out drain, the
   in-flight response still arrives, exit code 0 — the single-process
   drain contract (PR 5) preserved under the pool;
@@ -21,6 +22,7 @@ attacks it the way production does:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -387,6 +389,33 @@ class TestWorkerCrash:
             for conn in conns:
                 conn.close()
             pool.kill()
+
+
+def _alive(pid: int) -> bool:
+    """Is *pid* a live process?  An unreaped zombie counts as exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestParentDeath:
+    def test_workers_exit_after_parent_sigkill(self, tmp_path, shared_cache_dir):
+        pool = _boot(tmp_path, shared_cache_dir, workers=2, name="orphan")
+        workers = set(pool.worker_pids().values())
+        assert len(workers) == 2
+        try:
+            pool.kill()  # SIGKILL: the parent gets no chance to fan out
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_alive, workers)):
+                time.sleep(0.05)
+            assert not any(map(_alive, workers)), pool.log_text()
+            assert pool.log_text().count("lost its parent; draining") == 2
+        finally:
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------
