@@ -18,10 +18,15 @@ escape dispatch overhead:
 * **run fusion** — a block compiles to one generated function,
   ``_block(st, counts)``, with the instruction semantics inlined (no
   function call per instruction).  Each maximal straight-line run is one
-  section of it, in index order, guarded by ``if _n == ri:``; the run's
-  weighted per-category instruction counts
-  (:data:`repro.dbt.executor.WEIGHTS`) are pre-aggregated into one
-  batched ``counts`` update per section;
+  section of it, in index order, guarded by ``if _n == ri:``;
+* **no accounting in generated code** — one backward pass over the run
+  graph (:func:`block_host_counts`) proves that every path from the
+  block's entry to its exit sums to the same weighted per-category host
+  instruction counts (:data:`repro.dbt.executor.WEIGHTS`).  That constant
+  is ``CompiledBlock.host_counts``, and the engine multiplies it by the
+  block's execution count once per run, as it already does for the guest
+  and rule counts.  A block whose paths count differently keeps in-code
+  counts in the guarded form below;
 * **dead flag stores** — one backward scan per run over ``flags_set`` /
   ``flags_read`` finds host-flag stores that a later instruction of the
   same run overwrites before anything reads them, and leaves them out.
@@ -31,9 +36,10 @@ escape dispatch overhead:
 * **resolved control flow** — branch targets become run indices stored
   in ``_n`` (the section guards select the next run; leaving the block
   returns), and condition codes become inlined predicates over the flag
-  file.  Translated blocks only branch forward; a block with a backward
-  edge instead compiles to one function per run behind the interpreter's
-  runaway guard (:class:`GuardedCompiledBlock`);
+  file.  Translated blocks only branch forward, and every path through
+  one counts alike; a block with a backward edge or path-dependent counts
+  instead compiles to one counting function per run behind the
+  interpreter's runaway guard (:class:`GuardedCompiledBlock`);
 * **block chaining** — each compiled block carries a ``chain`` map from
   successor guest-block index to the successor's compiled body; the
   engine's jit loop (:meth:`repro.dbt.engine.DBTEngine.run`) transfers
@@ -73,7 +79,7 @@ _NONE: FrozenSet[str] = frozenset()
 #: Bump whenever generated block source changes shape or meaning.  It is
 #: part of the disk code cache key, so entries written by an older
 #: codegen become misses instead of being executed.
-BLOCK_CODEGEN_VERSION = "block-v2"
+BLOCK_CODEGEN_VERSION = "block-v3"
 
 #: Run-index sentinel: control leaves the block (the dispatch-label exit).
 EXIT = -1
@@ -422,6 +428,8 @@ _PRED_EXPR: Dict[str, str] = {
 # predicate holds and to ``fall`` otherwise.
 
 _Exit = Tuple[Optional[str], Optional[int], Optional[int]]
+#: Per-execution host cost of a block: sorted ``(category, weight)`` pairs.
+HostCounts = Tuple[Tuple[str, int], ...]
 _FELL_THROUGH = "raise ExecutionError('translated block fell through its end')"
 
 
@@ -456,40 +464,19 @@ def _dead_flags(defs, start: int, end: int) -> Dict[int, FrozenSet[str]]:
     return dead
 
 
-def _gen_run(
+def _run_exit(
     tb: TranslatedBlock,
     defs,
     start: int,
     end: int,
     run_of: Dict[int, int],
-    ns: Dict,
-) -> Tuple[List[str], _Exit]:
-    """Generate the body of the run covering ``host[start:end)``.
-
-    Returns ``(body_lines, exit)``: the body executes the run and applies
-    its pre-aggregated category counts; the caller renders the exit in
-    the form of the function the body lands in.
-    """
-    host = tb.host
-    agg: Dict[str, int] = {}
-    for k in range(start, end):
-        cat = tb.categories[k]
-        agg[cat] = agg.get(cat, 0) + WEIGHTS.get(host[k].mnemonic, 1)
-
-    terminator = host[end - 1] if defs[end - 1].is_branch else None
-    body_end = end - 1 if terminator is not None else end
-
-    dead = _dead_flags(defs, start, body_end)
-    body: List[str] = []
-    for k in range(start, body_end):
-        _emit_insn(k, host[k], defs[k], body, ns, dead.get(k, _NONE))
-    for cat, weight in sorted(agg.items()):
-        body.append(f"counts[{cat!r}] = counts.get({cat!r}, 0) + {weight}")
-
-    if terminator is None:
+) -> _Exit:
+    """Resolve how the run covering ``host[start:end)`` leaves."""
+    if not defs[end - 1].is_branch:
         # Falling off the end of the host code faults in the interpreter
         # too; the exit keeps the failure explicit.
-        return body, (None, run_of.get(end), None)
+        return (None, run_of.get(end), None)
+    terminator = tb.host[end - 1]
     target = terminator.operands[0] if terminator.operands else None
     if not isinstance(target, Label):
         raise ExecutionError(f"cannot compile block terminator {terminator}")
@@ -502,16 +489,104 @@ def _gen_run(
         taken = run_of[pos]
     cond = defs[end - 1].cond
     if cond is None:
-        return body, (None, taken, None)
+        return (None, taken, None)
     fall = run_of.get(end)
     if fall is None:
         raise ExecutionError("conditional branch at end of host code")
-    return body, (_PRED_EXPR[cond], taken, fall)
+    return (_PRED_EXPR[cond], taken, fall)
 
 
-def _successors(exit_: _Exit) -> List[int]:
-    _pred, taken, fall = exit_
-    return [nxt for nxt in (taken, fall) if nxt is not None and nxt != EXIT]
+def _run_graph(
+    tb: TranslatedBlock, defs
+) -> Tuple[List[Tuple[int, int]], List[_Exit]]:
+    """The block's runs: ``(start, end)`` host bounds and exits, in order."""
+    starts = _run_leaders(tb, defs)
+    run_of = {pos: ri for ri, pos in enumerate(starts)}
+    bounds = list(zip(starts, starts[1:] + [len(tb.host)]))
+    return bounds, [_run_exit(tb, defs, start, end, run_of) for start, end in bounds]
+
+
+def _run_counts(tb: TranslatedBlock, start: int, end: int) -> Dict[str, int]:
+    """Weighted per-category host counts of ``host[start:end)``."""
+    agg: Dict[str, int] = {}
+    for k in range(start, end):
+        cat = tb.categories[k]
+        agg[cat] = agg.get(cat, 0) + WEIGHTS.get(tb.host[k].mnemonic, 1)
+    return agg
+
+
+def _path_counts(
+    tb: TranslatedBlock, bounds: List[Tuple[int, int]], exits: List[_Exit]
+) -> Optional[HostCounts]:
+    """Backward pass: the totals every path from run 0 to the exit sums to.
+
+    ``totals[ri]`` is what run ``ri`` plus any path from it to the block
+    exit costs, or None when its paths disagree or never complete.  Runs
+    are visited last to first, so an edge to an earlier run (or to the
+    run itself) still sees None: a backward edge makes the block
+    non-uniform without a separate check.
+    """
+    totals: List[Optional[Dict[str, int]]] = [None] * len(bounds)
+    for ri in range(len(bounds) - 1, -1, -1):
+        _pred, taken, fall = exits[ri]
+        if taken is None:
+            continue  # falls off the end of the host code: never completes
+        tails = [
+            {} if nxt == EXIT else totals[nxt]
+            for nxt in (taken, fall)
+            if nxt is not None
+        ]
+        if any(tail is None or tail != tails[0] for tail in tails):
+            continue
+        total = dict(tails[0])
+        for cat, weight in _run_counts(tb, *bounds[ri]).items():
+            total[cat] = total.get(cat, 0) + weight
+        totals[ri] = total
+    return None if totals[0] is None else tuple(sorted(totals[0].items()))
+
+
+def block_host_counts(
+    tb: TranslatedBlock, defs: Optional[Tuple[InstructionDef, ...]] = None
+) -> Optional[HostCounts]:
+    """What one execution of *tb* costs, as sorted ``(category, weight)``.
+
+    The weighted per-category host-instruction totals
+    (:data:`repro.dbt.executor.WEIGHTS`) of a full pass from the block's
+    entry to its dispatch exit, when every path through its forward run
+    graph sums to the same totals; None otherwise (paths that count
+    differently, a backward edge, a run that falls off the end).  Both
+    the jit block tier and the trace tier account a block with this one
+    answer.
+    """
+    defs = _block_defs(tb, defs)
+    if not tb.host:
+        return None
+    return _path_counts(tb, *_run_graph(tb, defs))
+
+
+def _run_body(
+    tb: TranslatedBlock,
+    defs,
+    start: int,
+    end: int,
+    ns: Dict,
+    counted: bool,
+) -> List[str]:
+    """Source lines executing ``host[start:end)`` up to its terminator.
+
+    With *counted*, the run's pre-aggregated category counts are added to
+    ``counts`` at its end (the guarded form); otherwise the body carries
+    no accounting and the engine folds the block's constant totals in.
+    """
+    body_end = end - 1 if defs[end - 1].is_branch else end
+    dead = _dead_flags(defs, start, body_end)
+    body: List[str] = []
+    for k in range(start, body_end):
+        _emit_insn(k, tb.host[k], defs[k], body, ns, dead.get(k, _NONE))
+    if counted:
+        for cat, weight in sorted(_run_counts(tb, start, end).items()):
+            body.append(f"counts[{cat!r}] = counts.get({cat!r}, 0) + {weight}")
+    return body
 
 
 def _return_exit(exit_: _Exit) -> List[str]:
@@ -545,7 +620,9 @@ def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
 
     Each run is a section in index order; every section after the first
     is guarded by ``if _n == ri:``.  Control only moves to later runs, so
-    one pass over the sections runs each taken run once, in order.
+    one pass over the sections runs each taken run once, in order.  The
+    sections carry no accounting, so ``counts`` goes unused; it stays in
+    the signature so every compiled block is called the same way.
     """
     lines = ["def _block(st, counts):", _PROLOGUE, "    try:"]
     for ri, (body, exit_) in enumerate(runs):
@@ -574,19 +651,22 @@ class CompiledBlock:
     """One translated block, lowered to one generated Python function.
 
     ``execute(state, counts)`` runs the block to its dispatch exit against
-    *state*, adding the batched per-category weighted host instruction
-    counts (same totals as the interpreter backend) to ``counts``.  It is
-    the generated function itself, so the engine's call reaches generated
-    code without a wrapper frame.
+    *state*.  It is the generated function itself, so the engine's call
+    reaches generated code without a wrapper frame, and it counts
+    nothing: ``host_counts`` holds the block's constant per-execution
+    weighted host-instruction counts (:func:`block_host_counts`), which
+    the engine multiplies by the block's execution count when the run
+    ends.
 
     ``chain`` maps a successor guest-block index to the successor's
     ``CompiledBlock``; the engine populates it the first time an edge is
     taken (when chaining is enabled) and follows it directly afterwards.
 
-    This class is used when compile-time analysis has proven the run graph
-    strictly forward (every branch target is a later run), so each run
-    executes at most once per block execution and no runtime runaway guard
-    is needed.  :class:`GuardedCompiledBlock` handles the general case.
+    This class is used when compile-time analysis has proven every path
+    through the run graph forward and equally costly, so each run executes
+    at most once per block execution, no runtime runaway guard is needed
+    and the counts are path-independent.  :class:`GuardedCompiledBlock`
+    handles every other block.
     """
 
     __slots__ = (
@@ -596,16 +676,20 @@ class CompiledBlock:
         "guest_count",
         "covered_count",
         "rule_agg",
+        "host_counts",
         "start",
     )
 
-    def __init__(self, tb: TranslatedBlock, execute) -> None:
+    def __init__(
+        self, tb: TranslatedBlock, execute, host_counts: HostCounts
+    ) -> None:
         self.tb = tb
         self.execute = execute
         self.chain: Dict[int, "CompiledBlock"] = {}
         self.guest_count = tb.guest_count
         self.covered_count = tb.covered_count
         self.rule_agg = tb.rule_agg
+        self.host_counts = host_counts
         self.start = tb.start
 
 
@@ -625,18 +709,19 @@ def _guarded(runs, step_counts):
 
 
 class GuardedCompiledBlock(CompiledBlock):
-    """Compiled block whose run graph contains a backward edge.
+    """Compiled block with a backward edge or path-dependent counts.
 
-    Translated blocks are DAGs in practice, so this is a defensive path:
-    each run is its own generated function, and ``execute`` keeps the
-    interpreter's ``_MAX_BLOCK_STEPS`` runaway guard live at run
-    granularity.
+    Translated blocks are path-uniform DAGs in practice, so this is a
+    defensive path: each run is its own generated function that adds its
+    own counts to ``execute``'s ``counts`` argument (``host_counts`` is
+    empty), and ``execute`` keeps the interpreter's ``_MAX_BLOCK_STEPS``
+    runaway guard live at run granularity.
     """
 
     __slots__ = ("runs", "step_counts")
 
     def __init__(self, tb: TranslatedBlock, runs, step_counts) -> None:
-        super().__init__(tb, _guarded(runs, step_counts))
+        super().__init__(tb, _guarded(runs, step_counts), ())
         self.runs = runs
         self.step_counts = step_counts
 
@@ -645,25 +730,30 @@ class GuardedCompiledBlock(CompiledBlock):
 class BlockSource:
     """The portable product of block codegen: source text + run metadata.
 
-    Everything here is plain data (strings, ints, a bool), so a
+    Everything here is plain data (strings and ints), so a
     ``BlockSource`` can be persisted to disk by one process and
     re-instantiated by another with :func:`compile_block_source` — the
     objects the generated code references by name (``_sem{k}`` semantics
     functions and ``_i{k}`` instruction values for untemplated mnemonics)
     are rebuilt deterministically from the translated block itself, never
     serialized.
+
+    ``host_counts`` is the block's per-execution cost
+    (:func:`block_host_counts`).  Non-empty, the text is one
+    accounting-free ``_block`` function; empty, it is one counting
+    ``_run{ri}`` function per run, for the guarded form.
     """
 
     text: str
     step_counts: Tuple[int, ...]
-    forward_only: bool
+    host_counts: HostCounts
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable form (the disk code cache's entry payload)."""
         return {
             "text": self.text,
             "step_counts": list(self.step_counts),
-            "forward_only": self.forward_only,
+            "host_counts": [list(pair) for pair in self.host_counts],
         }
 
     @classmethod
@@ -671,18 +761,25 @@ class BlockSource:
         """Rebuild from :meth:`to_payload` output; raises on bad shape."""
         text = payload["text"]
         step_counts = payload["step_counts"]
-        forward_only = payload["forward_only"]
+        host_counts = payload["host_counts"]
         if (
             not isinstance(text, str)
             or not isinstance(step_counts, list)
             or not all(isinstance(c, int) for c in step_counts)
-            or not isinstance(forward_only, bool)
+            or not isinstance(host_counts, list)
+            or not all(
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and isinstance(pair[1], int)
+                for pair in host_counts
+            )
         ):
             raise ValueError("malformed BlockSource payload")
         return cls(
             text=text,
             step_counts=tuple(step_counts),
-            forward_only=forward_only,
+            host_counts=tuple((cat, weight) for cat, weight in host_counts),
         )
 
 
@@ -709,21 +806,20 @@ def generate_block_source(
     defs = _block_defs(tb, defs)
     if not tb.host:
         raise ExecutionError("cannot compile an empty translated block")
-    starts = _run_leaders(tb, defs)
-    run_of = {pos: ri for ri, pos in enumerate(starts)}
+    bounds, exits = _run_graph(tb, defs)
+    host_counts = _path_counts(tb, bounds, exits)
     scratch: Dict = {}  # _emit_insn's fallback bindings; rebuilt at exec time
-    bounds = list(zip(starts, starts[1:] + [len(tb.host)]))
-    runs = [_gen_run(tb, defs, start, end, run_of, scratch) for start, end in bounds]
-    forward_only = all(
-        nxt > ri for ri, (_body, exit_) in enumerate(runs) for nxt in _successors(exit_)
-    )
-    lines = _block_function(runs) if forward_only else _run_functions(runs)
+    runs = [
+        (_run_body(tb, defs, start, end, scratch, host_counts is None), exit_)
+        for (start, end), exit_ in zip(bounds, exits)
+    ]
+    lines = _run_functions(runs) if host_counts is None else _block_function(runs)
     for listener in tuple(_COMPILE_LISTENERS):
         listener(tb)
     return BlockSource(
         text="\n".join(lines),
         step_counts=tuple(end - start for start, end in bounds),
-        forward_only=forward_only,
+        host_counts=host_counts or (),
     )
 
 
@@ -748,8 +844,8 @@ def compile_block_source(
         ns[f"_i{k}"] = insn
     code = compile(source.text, f"<dbt-block@{tb.start:#x}>", "exec")
     exec(code, ns)  # noqa: S102 - source generated from our own IR
-    if source.forward_only:
-        return CompiledBlock(tb, ns["_block"])
+    if source.host_counts:
+        return CompiledBlock(tb, ns["_block"], source.host_counts)
     runs = tuple(ns[f"_run{ri}"] for ri in range(len(source.step_counts)))
     return GuardedCompiledBlock(tb, runs, source.step_counts)
 

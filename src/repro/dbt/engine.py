@@ -12,9 +12,10 @@ Two execution backends share the code cache (``--backend`` on the CLI):
   and the oracle every other backend is differentially tested against.
 * ``jit`` — :mod:`repro.dbt.compiler` lowers each translated block to
   pre-bound Python closures (operands resolved at compile time, straight-
-  line runs fused, metrics pre-aggregated).  With ``chaining=True`` hot
-  block edges transfer directly between compiled bodies without returning
-  to this dispatch loop.
+  line runs fused, no accounting in the generated code: each block's
+  constant counts are multiplied by its execution count at run end).
+  With ``chaining=True`` hot block edges transfer directly between
+  compiled bodies without returning to this dispatch loop.
 
 Each code-cache entry (:class:`CodeCacheEntry`) owns the translated block
 *and* its backend artifacts — decoded defs for interp, the compiled body
@@ -25,6 +26,7 @@ failure mode of the old ``id(tb)``-keyed defs cache in the executor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.dbt.block import BlockMap
@@ -154,8 +156,6 @@ class DBTEngine:
         self.config = config
         self.chaining = chaining
         self.backend = backend
-        self.blockmap = BlockMap(unit)
-        self.translator = BlockTranslator(unit, self.blockmap, config)
         #: ``code_cache`` may be injected: the serving layer pre-seeds an
         #: engine with entries compiled once (single-flight) and shared
         #: across requests for the same (program, stage), so a fresh engine
@@ -178,6 +178,16 @@ class DBTEngine:
         #: so warm runs on a settled engine pay no profiling tax at all.
         self._profiling = True
         self._profile_countdown = self.trace_config.profile_window
+
+    @cached_property
+    def blockmap(self) -> BlockMap:
+        """Built on the first code-cache miss: an engine over a pre-seeded
+        cache (the serving layer's) never needs it."""
+        return BlockMap(self.unit)
+
+    @cached_property
+    def translator(self) -> BlockTranslator:
+        return BlockTranslator(self.unit, self.blockmap, self.config)
 
     def _entry(self, index: int, metrics: RunMetrics) -> CodeCacheEntry:
         entry = self.code_cache.get(index)
@@ -316,12 +326,7 @@ class DBTEngine:
         finally:
             metrics.block_executions += n_exec
             metrics.chained_executions += n_chained
-            hits = metrics.rule_hits
-            for block, count in execs.items():
-                metrics.guest_dynamic += block.guest_count * count
-                metrics.covered_dynamic += block.covered_count * count
-                for rule, length in block.rule_agg:
-                    hits[rule] = hits.get(rule, 0) + length * count
+            _fold_blocks(metrics, execs)
 
     def _run_trace(
         self,
@@ -616,11 +621,7 @@ class DBTEngine:
                     TRACE_STATS.incr("iterations", total_iters)
                 if total_guard:
                     TRACE_STATS.incr("guard_exits", total_guard)
-            for block, count in execs.items():
-                metrics.guest_dynamic += block.guest_count * count
-                metrics.covered_dynamic += block.covered_count * count
-                for rule, length in block.rule_agg:
-                    hits[rule] = hits.get(rule, 0) + length * count
+            _fold_blocks(metrics, execs)
 
     def _sync_chain_maps(self, metrics: RunMetrics) -> None:
         """Mirror the seen-edge set into the compiled blocks' chain maps.
@@ -658,6 +659,25 @@ class DBTEngine:
         self._traces[head] = trace
         metrics.traces_formed += 1
         return True
+
+
+def _fold_blocks(metrics: RunMetrics, execs: Dict[CompiledBlock, int]) -> None:
+    """Add each block's constant per-execution counts times its executions.
+
+    Generated block code counts nothing (guarded blocks aside, whose
+    ``host_counts`` is empty because they count in code), so this is where
+    a jit run's guest, covered, rule-hit and host-instruction totals come
+    from.  A block that faulted never reached ``execs``.
+    """
+    hits = metrics.rule_hits
+    host_counts = metrics.host_counts
+    for block, count in execs.items():
+        metrics.guest_dynamic += block.guest_count * count
+        metrics.covered_dynamic += block.covered_count * count
+        for rule, length in block.rule_agg:
+            hits[rule] = hits.get(rule, 0) + length * count
+        for cat, weight in block.host_counts:
+            host_counts[cat] = host_counts.get(cat, 0) + weight * count
 
 
 def check_against_reference(

@@ -29,13 +29,13 @@ byte-identical architectural snapshots *and* byte-identical
 :class:`~repro.dbt.metrics.RunMetrics` versus the interp backend.  Metrics
 parity survives the elisions because accounting is decoupled from
 execution: every position's weighted per-category host-instruction counts
-are pre-aggregated at trace-compile time from the *original* unoptimized
-block (entry loads + body + terminator + exactly one exit stub — both
-stubs of a conditional block aggregate identically, so the totals are
-path-independent) and flushed once at trace exit, as the full-iteration
-aggregate times the completed iteration count plus the prefix through the
-exit position.  An elided instruction is still counted; it is just not
-executed.
+are those of the *original* unoptimized block, one full pass from entry
+to exit, as :func:`repro.dbt.compiler.block_host_counts` computes them
+for the jit block tier too (a block whose two arms count differently has
+no such constant and stays off traces).  They are flushed once at trace
+exit, as the full-iteration aggregate times the completed iteration count
+plus the prefix through the exit position.  An elided instruction is
+still counted; it is just not executed.
 
 Elision soundness does not assume guest programs stay out of the emulated
 CPU environment: any host instruction that could *read* memory through a
@@ -51,8 +51,13 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dbt.compiler import _PRED_EXPR, _emit_insn, _uninit
-from repro.dbt.executor import WEIGHTS
+from repro.dbt.compiler import (
+    _PRED_EXPR,
+    HostCounts,
+    _emit_insn,
+    _uninit,
+    block_host_counts,
+)
 from repro.dbt.runtime import (
     DISPATCH_LABEL,
     env_flag_addr,
@@ -236,7 +241,7 @@ class _ParsedBlock:
     cond: Optional[str]
     fall: _Stub
     taken: Optional[_Stub]
-    count_agg: Dict[str, int]  # category -> weighted count, one full pass
+    host_counts: HostCounts  # one full pass, from the compiler
 
 
 def _is_env_word(op) -> Optional[int]:
@@ -281,14 +286,6 @@ def _parse_stub(tb: TranslatedBlock, jmp: int) -> Optional[_Stub]:
             break
         start -= 1
     return _Stub(start=start, jmp=jmp, target_index=target_index, via_reg=via_reg)
-
-
-def _stub_agg(tb: TranslatedBlock, stub: _Stub) -> Dict[str, int]:
-    agg: Dict[str, int] = {}
-    for k in range(stub.start, stub.jmp + 1):
-        cat = tb.categories[k]
-        agg[cat] = agg.get(cat, 0) + WEIGHTS.get(tb.host[k].mnemonic, 1)
-    return agg
 
 
 def parse_block(
@@ -341,10 +338,6 @@ def parse_block(
         cond = jdef.cond
         linear_end = jcc
         branch_ok = {jcc, jmps[0], jmps[1]}
-        # Both stubs must account identically: that is what makes the
-        # per-position count aggregate path-independent.
-        if _stub_agg(tb, fall) != _stub_agg(tb, taken):
-            return None
     else:
         if _EXIT_TAKEN in tb.labels:
             return None
@@ -357,6 +350,11 @@ def parse_block(
     for i, defn in enumerate(defs):
         if defn.is_branch and i not in branch_ok:
             return None  # host-internal control flow: stay on the block tier
+    # Both arms must account identically: that is what makes the
+    # per-position count aggregate path-independent.
+    host_counts = block_host_counts(tb, defs)
+    if host_counts is None:
+        return None
 
     prologue: List[Tuple[int, str]] = []
     for i in range(linear_end):
@@ -374,14 +372,6 @@ def parse_block(
             break
         prologue.append((i, dst.name))
 
-    agg: Dict[str, int] = {}
-    for k in range(fall.start if len(jmps) == 2 else n):
-        cat = tb.categories[k]
-        agg[cat] = agg.get(cat, 0) + WEIGHTS.get(host[k].mnemonic, 1)
-    if len(jmps) == 2:
-        for cat, weight in _stub_agg(tb, fall).items():
-            agg[cat] = agg.get(cat, 0) + weight
-
     return _ParsedBlock(
         tb=tb,
         defs=tuple(defs),
@@ -390,7 +380,7 @@ def parse_block(
         cond=cond,
         fall=fall,
         taken=taken,
-        count_agg=agg,
+        host_counts=host_counts,
     )
 
 
@@ -842,7 +832,7 @@ class CompiledTrace:
             covered += pb.tb.covered_count
             for rule, length in pb.tb.rule_agg:
                 rules[rule] = rules.get(rule, 0) + length
-            for cat, weight in pb.count_agg.items():
+            for cat, weight in pb.host_counts:
                 counts[cat] = counts.get(cat, 0) + weight
             guest_prefix.append(guest)
             covered_prefix.append(covered)

@@ -6,9 +6,10 @@ across all clients and requests.  Two properties matter under concurrency:
 
 * **single flight** — when many requests need the same uncompiled block
   key at the same moment, exactly one compilation runs; the rest await its
-  result (an :class:`asyncio.Future` per in-flight key).  The compile-work
-  fan-in is visible in the ``coalesced`` counter and provable through
-  :func:`repro.dbt.compiler.add_compile_listener`.
+  result (an :class:`asyncio.Future` per in-flight key, owned by the cache,
+  so a caller that gives up never cancels it for the others).  The
+  compile-work fan-in is visible in the ``coalesced`` counter and provable
+  through :func:`repro.dbt.compiler.add_compile_listener`.
 * **bounded memory** — the cache is an LRU over block keys with explicit
   eviction accounting, so a long-lived server scanning many programs
   cannot grow without limit.
@@ -28,16 +29,10 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 BlockKey = Tuple
-
-
-def _consume_exception(future: "asyncio.Future") -> None:
-    # A failed compile with no coalesced awaiter would otherwise warn
-    # "exception was never retrieved" at GC time.
-    if not future.cancelled():
-        future.exception()
 
 
 class SingleFlightCodeCache:
@@ -108,36 +103,41 @@ class SingleFlightCodeCache:
 
         Must be awaited on the event loop.  ``compile_fn`` (a plain
         callable) runs in the loop's default executor so compilation never
-        blocks request handling; concurrent callers for the same key await
-        the first caller's future instead of compiling again.
+        blocks request handling.  The cache owns the in-flight future, and
+        every caller (the one that started the compile included) awaits it
+        through :func:`asyncio.shield`: a caller cancelled by its request
+        timeout leaves the compile running for everyone else, and the entry
+        is published when the compile finishes, whoever is still waiting.
         """
         entry = self.get(key)
         if entry is not None:
             return entry
         # No awaits between the miss above and the in-flight registration
         # below: on one event loop this window is atomic.
-        pending = self._inflight.get(key)
-        if pending is not None:
+        future = self._inflight.get(key)
+        if future is None:
+            future = asyncio.get_running_loop().run_in_executor(None, compile_fn)
+            self._inflight[key] = future
+            # Registered before any caller's shield, so the entry is
+            # published before the first awaiter resumes.
+            future.add_done_callback(partial(self._finish, key))
+        else:
             self.coalesced += 1
-            return await asyncio.shield(pending)
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        future.add_done_callback(_consume_exception)
-        self._inflight[key] = future
-        try:
-            entry = await loop.run_in_executor(None, compile_fn)
-        except BaseException as exc:
-            self._inflight.pop(key, None)
-            if not future.cancelled():
-                future.set_exception(exc)
-            raise
+        return await asyncio.shield(future)
+
+    def _finish(self, key: BlockKey, future: "asyncio.Future") -> None:
+        """Done callback of a compile: publish it, or let the key retry.
+
+        A failed compile is not cached; the exception reaches every
+        awaiter (reading it here also keeps an awaiter-less failure from
+        warning "exception was never retrieved").
+        """
         self._inflight.pop(key, None)
+        if future.cancelled() or future.exception() is not None:
+            return
         with self._lock:
             self.compiles += 1
-        self.publish(key, entry)
-        if not future.cancelled():
-            future.set_result(entry)
-        return entry
+        self.publish(key, future.result())
 
     # -- observability -------------------------------------------------------
 

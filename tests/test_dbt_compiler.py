@@ -2,8 +2,8 @@
 
 End-to-end backend equivalence is covered by ``tests/test_backend_difftest``;
 these tests pin the compiler's structural properties: run fusion, dead
-flag-store elision, resolved control flow, the forward-only (DAG) proof
-and its guarded fallback, the batched count aggregation, operand fast
+flag-store elision, resolved control flow, the forward-only, path-uniform
+count proof (``block_host_counts``) and its guarded fallback, operand fast
 paths, and error parity with the interpreter backend.
 """
 
@@ -16,6 +16,8 @@ from repro.dbt.compiler import (
     CompiledBlock,
     GuardedCompiledBlock,
     _emit_insn,
+    _run_graph,
+    block_host_counts,
     compile_block,
     generate_block_source,
 )
@@ -47,6 +49,14 @@ def _dispatch_jmp():
     return Instruction("jmp", (Label(DISPATCH_LABEL),))
 
 
+def _execute_counted(cb, state, counts):
+    """Run *cb* once the way the engine does: generated code plus the
+    block's constant per-execution counts folded in."""
+    cb.execute(state, counts)
+    for cat, weight in cb.host_counts:
+        counts[cat] = counts.get(cat, 0) + weight
+
+
 def _run_both(tb, seed_regs=None):
     """Execute *tb* under both backends; return (state, counts) of each."""
     results = []
@@ -59,7 +69,7 @@ def _run_both(tb, seed_regs=None):
         if backend == "interp":
             HostExecutor(state).run_block(tb, counts, BlockKernel(tb))
         else:
-            compile_block(tb).execute(state, counts)
+            _execute_counted(compile_block(tb), state, counts)
         results.append((state, counts))
     return results
 
@@ -93,7 +103,7 @@ class TestRunFusion:
             labels={"_skip": 4},
         )
         source = generate_block_source(tb)
-        assert source.forward_only
+        assert source.host_counts == (("tcg", 4),)  # either arm: 4 insns
         assert source.step_counts == (2, 2, 2)
         # One function; runs 1 and 2 are guarded sections in index order.
         text = source.text
@@ -149,13 +159,101 @@ class TestControlFlow:
             ],
             labels={"_top": 0},
         )
+        assert block_host_counts(tb) is None  # no constant per execution
         cb = compile_block(tb)
-        assert isinstance(cb, GuardedCompiledBlock)
+        assert isinstance(cb, GuardedCompiledBlock) and cb.host_counts == ()
         state = ConcreteState()
         state.reset_flags()
         state.regs["g_r0"] = 0
         with pytest.raises(ExecutionError, match="runaway translated block"):
             cb.execute(state, {})
+
+
+class TestPathCounts:
+    """``block_host_counts``: one constant per block, or the guarded form."""
+
+    def test_diamond_with_unequal_arms_takes_guarded_form(self):
+        tb = _block(
+            [
+                Instruction("cmpl", (Imm(5), Reg("g_r0"))),
+                Instruction("je", (Label("_taken"),)),
+                Instruction("addl", (Imm(1), Reg("g_r1"))),  # fall: 2 insns
+                _dispatch_jmp(),
+                Instruction("movl", (Imm(2), Reg("g_r1"))),  # taken: 3 insns
+                Instruction("helper_clz", (Reg("g_r2"), Reg("g_r1"))),
+                _dispatch_jmp(),
+            ],
+            categories=("rule", "control", "rule", "control", "data", "tcg", "control"),
+            labels={"_taken": 4},
+        )
+        assert block_host_counts(tb) is None
+        source = generate_block_source(tb)
+        assert source.host_counts == ()
+        assert source.text.count("counts[") > 0  # counted in code, per run
+        cb = compile_block(tb)
+        assert isinstance(cb, GuardedCompiledBlock) and cb.host_counts == ()
+        seen = set()
+        for r0 in (5, 6):
+            (istate, ic), (jstate, jc) = _run_both(tb, {"g_r0": r0, "g_r1": 0})
+            assert (istate.regs, istate.flags, ic) == (jstate.regs, jstate.flags, jc)
+            seen.add(tuple(sorted(jc.items())))
+        assert len(seen) == 2  # the two arms really count differently
+
+    def test_rejoining_diamond_with_equal_arms_is_uniform(self):
+        tb = _block(
+            [
+                Instruction("cmpl", (Imm(5), Reg("g_r0"))),
+                Instruction("je", (Label("_else"),)),
+                Instruction("addl", (Imm(1), Reg("g_r1"))),
+                Instruction("jmp", (Label("_join"),)),
+                Instruction("subl", (Imm(1), Reg("g_r1"))),  # _else
+                Instruction("jmp", (Label("_join"),)),
+                Instruction("movl", (Reg("g_r1"), Reg("g_r2"))),  # _join
+                _dispatch_jmp(),
+            ],
+            categories=("rule",) * 3 + ("control",) + ("rule", "control", "data", "control"),
+            labels={"_else": 4, "_join": 6},
+        )
+        assert block_host_counts(tb) == (("control", 2), ("data", 1), ("rule", 3))
+        source = generate_block_source(tb)
+        assert "counts[" not in source.text  # no accounting in the code
+        cb = compile_block(tb)
+        assert type(cb) is CompiledBlock and cb.host_counts == source.host_counts
+        for r0 in (5, 6):
+            (istate, ic), (jstate, jc) = _run_both(tb, {"g_r0": r0, "g_r1": 0})
+            assert (istate.regs, ic) == (jstate.regs, jc)
+
+    def test_every_translated_block_is_forward_and_uniform(self):
+        """Both tiers account a block by its one constant: every block the
+        translator produces for the workloads and the corpus, at every
+        stage, must have a forward-only run graph whose paths all count
+        alike (else it would silently drop to the guarded form)."""
+        from repro.dbt.block import BlockMap
+        from repro.dbt.translator import BlockTranslator
+        from repro.difftest.corpus import load_corpus
+        from repro.difftest.oracle import assemble_program, training_setup
+        from repro.workloads import BENCHMARK_NAMES, compiled_benchmark
+        from tests.test_translation_snapshot import CORPUS_DIR
+
+        units = [compiled_benchmark(name).guest for name in BENCHMARK_NAMES]
+        units += [assemble_program(e.lines) for e in load_corpus(CORPUS_DIR)]
+        checked = 0
+        for stage, config in training_setup().configs.items():
+            for unit in units:
+                blockmap = BlockMap(unit)
+                translator = BlockTranslator(unit, blockmap, config)
+                for block in blockmap.blocks:
+                    tb = translator.translate(block)
+                    defs = BlockKernel(tb).defs
+                    _bounds, exits = _run_graph(tb, defs)
+                    for ri, (_pred, taken, fall) in enumerate(exits):
+                        for nxt in (taken, fall):
+                            assert nxt is None or nxt == EXIT or nxt > ri, (
+                                stage, tb.start,
+                            )
+                    assert block_host_counts(tb, defs) is not None, (stage, tb.start)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestFlagLiveness:
@@ -253,7 +351,7 @@ class TestCodegenProperty:
                 if backend == "interp":
                     HostExecutor(state).run_block(tb, counts, BlockKernel(tb))
                 else:
-                    compile_block(tb).execute(state, counts)
+                    _execute_counted(compile_block(tb), state, counts)
             except ExecutionError as exc:
                 outcomes.append(("error", str(exc)))
                 continue

@@ -123,3 +123,23 @@ class TestEngineBehaviour:
         result = engine.run()
         ok, message = check_against_reference(pair.guest, result)
         assert ok, message
+
+    def test_preseeded_engine_builds_no_blockmap(self, demo_pair, demo_setup):
+        """An engine over a code cache that already holds every block it
+        runs (the serving layer's shape) never builds its own block map or
+        translator, and runs to the same result."""
+        config = demo_setup.configs["condition"]
+        warm = DBTEngine(demo_pair.guest, config, chaining=True, backend="jit")
+        expected = warm.run()
+        engine = DBTEngine(
+            demo_pair.guest,
+            config,
+            chaining=True,
+            backend="jit",
+            code_cache=dict(warm.code_cache),
+        )
+        result = engine.run()
+        assert "blockmap" not in vars(engine) and "translator" not in vars(engine)
+        assert result.metrics.blocks_translated == 0
+        assert result.architectural_snapshot() == expected.architectural_snapshot()
+        assert result.metrics.host_counts == expected.metrics.host_counts

@@ -35,7 +35,7 @@ def cache(tmp_path):
 
 
 def _source(text: str = "def _run0(state):\n    return None\n") -> BlockSource:
-    return BlockSource(text=text, step_counts=(1,), forward_only=True)
+    return BlockSource(text=text, step_counts=(1,), host_counts=())
 
 
 # ---------------------------------------------------------------------------
@@ -44,25 +44,55 @@ def _source(text: str = "def _run0(state):\n    return None\n") -> BlockSource:
 
 class TestBlockSource:
     def test_payload_roundtrip_through_json(self):
-        source = _source()
-        clone = BlockSource.from_payload(
-            json.loads(json.dumps(source.to_payload()))
+        fused = BlockSource(
+            text="def _block(st, counts):\n    return\n",
+            step_counts=(2, 2, 2),
+            host_counts=(("control", 3), ("rule", 5), ("tcg", 1)),
         )
-        assert clone == source
+        for source in (_source(), fused):
+            clone = BlockSource.from_payload(
+                json.loads(json.dumps(source.to_payload()))
+            )
+            assert clone == source
+        assert fused.to_payload()["host_counts"] == [
+            ["control", 3], ["rule", 5], ["tcg", 1]
+        ]
 
     @pytest.mark.parametrize(
         "corrupt",
         [
             {},
-            {"text": 5, "step_counts": [1], "forward_only": True},
-            {"text": "x", "step_counts": "nope", "forward_only": True},
-            {"text": "x", "step_counts": [1, "two"], "forward_only": True},
-            {"text": "x", "step_counts": [1], "forward_only": "yes"},
+            {"text": 5, "step_counts": [1], "host_counts": []},
+            {"text": "x", "step_counts": "nope", "host_counts": []},
+            {"text": "x", "step_counts": [1, "two"], "host_counts": []},
+            {"text": "x", "step_counts": [1], "host_counts": "yes"},
+            # a block-v2 payload: no host_counts at all
+            {"text": "x", "step_counts": [1], "forward_only": True},
+            {"text": "x", "step_counts": [1], "host_counts": [["tcg"]]},
+            {"text": "x", "step_counts": [1], "host_counts": [["tcg", 1, 2]]},
+            {"text": "x", "step_counts": [1], "host_counts": [["tcg", "4"]]},
+            {"text": "x", "step_counts": [1], "host_counts": [[4, 4]]},
+            {"text": "x", "step_counts": [1], "host_counts": {"tcg": 4}},
         ],
     )
     def test_bad_payload_shapes_raise(self, corrupt):
         with pytest.raises((KeyError, ValueError)):
             BlockSource.from_payload(corrupt)
+
+    def test_malformed_host_counts_entry_is_quarantined(self, cache):
+        """A checksum-valid entry whose ``host_counts`` has the wrong shape
+        is dropped like any corrupt entry, never instantiated."""
+        digest = cache.key("unit", "condition", 0, "quick")
+
+        class _Malformed:
+            def to_payload(self):
+                return {"text": "x", "step_counts": [1], "host_counts": [["tcg"]]}
+
+        assert cache.store(digest, _Malformed()) is True
+        path = cache.entry_path(digest)
+        assert cache.load(digest) is None
+        assert cache.stats()["corrupt"] == 1
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +362,17 @@ class TestSourceRoundtrip:
 
         tb, defs = demo_block
         cache = DiskCodeCache(tmp_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(diskcode, "BLOCK_CODEGEN_VERSION", "block-v1")
-            stale = cache.key("demo", "condition", tb.start, "quick")
         stale_text = "def _block(st, counts):\n    raise AssertionError('stale')\n"
-        cache.store(stale, _source(stale_text))
+        stale_keys = []
+        for version in ("block-v1", "block-v2"):
+            with monkeypatch.context() as patch:
+                patch.setattr(diskcode, "BLOCK_CODEGEN_VERSION", version)
+                stale = cache.key("demo", "condition", tb.start, "quick")
+            cache.store(stale, _source(stale_text))
+            stale_keys.append(stale)
 
         digest = cache.key("demo", "condition", tb.start, "quick")
-        assert digest != stale
+        assert digest not in stale_keys
         assert cache.load(digest) is None
         cache.store(digest, generate_block_source(tb, defs))
         loaded = cache.load(digest)
@@ -351,7 +384,7 @@ class TestSourceRoundtrip:
             state.reset_flags()
             counts = {}
             compiled.execute(state, counts)
-            results.append((state.snapshot(), counts))
+            results.append((state.snapshot(), counts, compiled.host_counts))
         assert results[0] == results[1]
 
     def test_warm_hit_fires_no_compile_listener(self, demo_block):

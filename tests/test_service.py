@@ -94,6 +94,29 @@ class TestSingleFlightCodeCache:
         assert asyncio.run(body()) == "ok"
         assert len(attempts) == 2
 
+    def test_owner_timeout_does_not_cancel_the_shared_compile(self):
+        """The caller that started a compile times out; a coalesced waiter
+        still gets the entry, and the entry is published."""
+        cache = SingleFlightCodeCache()
+
+        def compile_fn():
+            time.sleep(0.3)
+            return "entry"
+
+        async def body():
+            owner = asyncio.ensure_future(
+                asyncio.wait_for(cache.get_or_compile(("k",), compile_fn), 0.1)
+            )
+            await asyncio.sleep(0.02)  # the owner has started the flight
+            waiter = asyncio.ensure_future(cache.get_or_compile(("k",), compile_fn))
+            with pytest.raises(asyncio.TimeoutError):
+                await owner
+            return await waiter
+
+        assert asyncio.run(body()) == "entry"
+        assert cache.compiles == 1 and cache.coalesced == 1
+        assert cache.peek(("k",)) == "entry"
+
     def test_lru_eviction_accounting(self):
         cache = SingleFlightCodeCache(maxsize=2)
         cache.publish("a", 1)
@@ -371,6 +394,51 @@ class TestServiceServer:
                 response = await _rpc(reader, writer, {"id": 2, "op": "ping"})
                 assert response["ok"]
                 writer.close()
+            finally:
+                await server.aclose()
+
+        asyncio.run(body())
+
+    def test_timeout_during_shared_compile_spares_coalesced_request(
+        self, service_setup, monkeypatch
+    ):
+        """Request A times out while compiling; request B, coalesced onto
+        the same compile, still gets a response and no handler dies."""
+        program = ["mov r0, #7", "add r0, r0, #5", "bx lr"]
+        original = TranslationService._compile_entry
+        slow = [True]
+
+        def slow_compile(self, *args):
+            if slow[0]:
+                time.sleep(0.6)
+            return original(self, *args)
+
+        monkeypatch.setattr(TranslationService, "_compile_entry", slow_compile)
+
+        async def body():
+            server = await start_server(
+                ServiceConfig(port=0, handlers=2, request_timeout=0.4),
+                setup=service_setup,
+            )
+            try:
+                ra, wa = await _connect(server.port)
+                rb, wb = await _connect(server.port)
+                wa.write(protocol.encode({"id": 1, "op": "run", "program": program}))
+                await wa.drain()
+                await asyncio.sleep(0.1)  # B coalesces onto A's compile
+                wb.write(protocol.encode({"id": 2, "op": "run", "program": program}))
+                await wb.drain()
+                a = json.loads(await asyncio.wait_for(ra.readline(), 5))
+                b = json.loads(await asyncio.wait_for(rb.readline(), 5))
+                assert a["error"]["code"] == "timeout"
+                assert b["id"] == 2  # answered, whatever the outcome
+                assert all(not task.done() for task in server._handlers)
+                slow[0] = False
+                c = await _rpc(ra, wa, {"id": 3, "op": "run", "program": program})
+                assert c["ok"], c
+                assert c["result"]["snapshot"]["regs"]["r0"] == 12
+                wa.close()
+                wb.close()
             finally:
                 await server.aclose()
 
