@@ -16,11 +16,10 @@ at two levels:
   any change to the derivation/verification semantics is invalidated by
   bumping the version stamp.
 
-Disk entries are plain JSON (reusing the serialization in
-:mod:`repro.learning.store`), written atomically (temp file + rename) so a
-crashed or concurrent writer can never leave a truncated entry behind.  A
-corrupted or version-stale entry is treated as a miss and recomputed — never
-an error.
+Disk entries are :mod:`repro.castore` entries (payloads reuse the
+serialization in :mod:`repro.learning.store`), so a corrupted, tampered or
+version-stale entry is quarantined and recomputed — never trusted, never an
+error.
 
 Observability: every level counts hits/misses (and derivations performed)
 in the module-wide :data:`STATS`, surfaced by ``repro cache stats`` and in
@@ -29,15 +28,15 @@ per-experiment reports.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.castore import CAStore, canonical_digest
+from repro.errors import ReproError
 
 #: Bump whenever learning/derivation/verification semantics change: every
 #: on-disk entry is stamped with this and a mismatch is a cache miss.
@@ -234,41 +233,14 @@ class BoundedMemo:
 # On-disk cache
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write *text* to *path* atomically (temp file in-dir + rename).
-
-    The one atomic-publish discipline shared by every on-disk cache in the
-    repo (the derivation :class:`DiskCache` here and the serving layer's
-    :mod:`repro.service.diskcode`): a reader can observe the old entry or
-    the complete new entry, never a truncated one, no matter how many
-    processes write concurrently or crash mid-write.  Raises ``OSError``
-    on filesystem failure; callers decide whether that disables
-    persistence or propagates.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def digest_key(kind: str, *parts: Any) -> str:
-    """Content digest of a cache key: kind + version stamp + JSON'd parts."""
-    payload = json.dumps(
-        [kind, PIPELINE_VERSION, list(parts)], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 class DiskCache:
-    """Content-addressed JSON entry store under one root directory."""
+    """Derivation results as :class:`repro.castore.CAStore` entries.
+
+    Keys are digests over ``(kind, PIPELINE_VERSION, parts)``; the store's
+    format tag is :data:`PIPELINE_VERSION` too.  Each payload carries the
+    ``elapsed`` compute seconds it saves (inside the checksum), and hits,
+    misses and writes land in the process-wide :data:`STATS`.
+    """
 
     def __init__(self, root: Optional[os.PathLike] = None, enabled: bool = True) -> None:
         if root is None:
@@ -277,86 +249,60 @@ class DiskCache:
             )
         self.root = Path(root)
         self.enabled = enabled and not os.environ.get("REPRO_CACHE_DISABLE")
+        self._store = CAStore(self.root, PIPELINE_VERSION)
 
-    # -- key/path helpers ---------------------------------------------------
+    @staticmethod
+    def _key(kind: str, parts: Tuple[Any, ...]) -> str:
+        return canonical_digest(kind, PIPELINE_VERSION, list(parts))
 
-    def _path(self, digest: str) -> Path:
-        return self.root / f"{digest[:2]}" / f"{digest}.json"
+    def entry_path(self, kind: str, *parts: Any) -> Path:
+        return self._store.entry_path(self._key(kind, parts))
 
-    # -- entry API ----------------------------------------------------------
+    def get(
+        self, kind: str, *parts: Any, decode: Optional[Callable[[Any], Any]] = None
+    ) -> Any:
+        """Payload for (kind, parts), decoded if *decode* is given, or :data:`MISS`.
 
-    def get(self, kind: str, *parts: Any) -> Any:
-        """Payload for (kind, parts), or :data:`MISS`.
-
-        A missing, corrupted, or version-stale entry is a miss; the caller
-        recomputes (and re-puts) — corruption is never an error.
+        A missing, corrupted, or version-stale entry, or one *decode*
+        rejects, is a miss; the caller recomputes (and re-puts).
         """
         if not self.enabled:
             return MISS
-        path = self._path(digest_key(kind, *parts))
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
+
+        def unwrap(entry: Dict[str, Any]) -> Tuple[float, Any]:
+            value = entry["value"]
+            if decode is not None:
+                try:
+                    value = decode(value)
+                except ReproError as exc:  # e.g. a rule that no longer parses
+                    raise ValueError(str(exc)) from exc
+            return float(entry["elapsed"]), value
+
+        found = self._store.load(self._key(kind, parts), unwrap)
+        if found is None:
             STATS.incr(disk_misses=1)
             return MISS
-        if (
-            not isinstance(entry, dict)
-            or entry.get("version") != PIPELINE_VERSION
-            or entry.get("kind") != kind
-            or "payload" not in entry
-        ):
-            STATS.incr(disk_misses=1)
-            return MISS
-        STATS.incr(disk_hits=1, seconds_saved=float(entry.get("elapsed") or 0.0))
-        return entry["payload"]
+        elapsed, value = found
+        STATS.incr(disk_hits=1, seconds_saved=elapsed)
+        return value
 
     def put(self, kind: str, *parts: Any, payload: Any, elapsed: float = 0.0) -> None:
-        """Store a JSON payload atomically (temp file + rename)."""
+        """Publish a JSON payload (write-once; an unwritable root is a no-op)."""
         if not self.enabled:
             return
-        path = self._path(digest_key(kind, *parts))
-        entry = {
-            "version": PIPELINE_VERSION,
-            "kind": kind,
-            "elapsed": round(elapsed, 6),
-            "payload": payload,
-        }
-        try:
-            atomic_write_text(path, json.dumps(entry))
-        except OSError:
-            return  # a read-only or full cache dir disables persistence only
-        STATS.incr(disk_writes=1)
-
-    # -- maintenance --------------------------------------------------------
-
-    def _entries(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return
-        yield from self.root.glob("*/*.json")
+        entry = {"elapsed": round(elapsed, 6), "value": payload}
+        if self._store.store(self._key(kind, parts), entry):
+            STATS.incr(disk_writes=1)
 
     def entry_count(self) -> int:
-        return sum(1 for _ in self._entries())
+        return self._store.entry_count()
 
     def total_bytes(self) -> int:
-        total = 0
-        for path in self._entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        return self._store.total_bytes()
 
     def clear(self) -> int:
         """Delete all entries; returns how many were removed."""
-        removed = 0
-        for path in list(self._entries()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return self._store.clear()
 
 
 _DISK: Optional[DiskCache] = None

@@ -62,15 +62,13 @@ def _cached_learning(name: str) -> "PairLearning | None":
     cached = _LEARNING_CACHE.get(name)
     if cached is not None:
         return cached
-    stored = disk_cache().get("benchmark-learning", name, _pair_fingerprint(name))
-    if stored is not MISS:
-        try:
-            learning = learning_from_dict(stored)
-        except Exception:
-            return None  # stale/corrupt payload: recompute
-        _LEARNING_CACHE[name] = learning
-        return learning
-    return None
+    learning = disk_cache().get(
+        "benchmark-learning", name, _pair_fingerprint(name), decode=learning_from_dict
+    )
+    if learning is MISS:
+        return None
+    _LEARNING_CACHE[name] = learning
+    return learning
 
 
 def benchmark_learning(name: str) -> PairLearning:

@@ -1,19 +1,15 @@
 """Filesystem lockfile single-flight: claim-or-wait with stale-lock breaking.
 
-The claim protocol proven in :mod:`repro.service.diskcode` (PR 6) is the
-repo's one answer to cross-process duplicated work: when N processes miss
-on the same content-addressed entry, exactly one should produce it and the
-rest should wait for the publication instead of re-producing.  The pipeline
-artifact store (:mod:`repro.pipeline.artifacts`) needs the identical
-property for whole pipeline stages, so the machinery lives here and both
-stores share it.
+When N processes miss on the same content-addressed entry, exactly one
+should produce it and the rest should wait for the publication instead of
+re-producing.  :mod:`repro.castore` runs every rebuildable store through
+this protocol; :mod:`repro.pipeline.store` uses the lock as a mutex.
 
 Three primitives, all built on plain files so they survive any process
 dying at any point:
 
 * :func:`try_claim` — create ``<lock>`` with ``O_CREAT | O_EXCL`` (atomic
-  on every POSIX filesystem).  The winner produces and publishes; losers
-  poll for the entry instead.  An *unwritable* lock directory degrades to
+  on every POSIX filesystem).  An *unwritable* lock directory degrades to
   "claimed": the caller produces locally and publication becomes a no-op,
   so a read-only cache never stalls anyone.
 * :func:`lock_age` — mtime age of a live lock, None once released.
@@ -24,10 +20,8 @@ dying at any point:
   waiter that exhausts ``wait_timeout`` falls back to producing locally —
   duplicated work, never a stall.
 
-Callers keep their own counters through the ``on_event`` hook (event names
-``"claim"``, ``"wait"``, ``"wait_timeout"``, ``"stale_break"``), so the
-per-store stats payloads (`DiskCodeCache.stats`, `ArtifactStore.stats`)
-stay exactly as their tests pin them.
+Callers count events through the ``on_event`` hook (event names
+``"claim"``, ``"wait"``, ``"wait_timeout"``, ``"stale_break"``).
 """
 
 from __future__ import annotations

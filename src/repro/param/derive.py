@@ -238,11 +238,11 @@ def derive_rules(
     byte-identical results either way.
     """
     fingerprint = ruleset_fingerprint(learned)
-    cached = disk_cache().get("derive-rules", fingerprint, include_addrmode)
+    cached = disk_cache().get(
+        "derive-rules", fingerprint, include_addrmode, decode=_param_result_from_dict
+    )
     if cached is not MISS:
-        restored = _param_result_from_dict(cached)
-        if restored is not None:
-            return restored
+        return cached
     started = time.perf_counter()
 
     counts = ParamCounts(learned_rules=len(learned))
@@ -334,19 +334,16 @@ def _param_result_to_dict(result: ParamResult) -> dict:
     }
 
 
-def _param_result_from_dict(data: object) -> Optional[ParamResult]:
-    """Rebuild a ParamResult; ``None`` if the payload shape is stale."""
-    try:
-        derived = RuleSet()
-        for entry in data["derived"]:
-            derived.add(rule_from_dict(entry))
-        result = ParamResult(derived=derived, counts=ParamCounts(**data["counts"]))
-        for text, stage in data["stages"]:
-            insn = arm_asm.parse_line(text)
-            result.target_stage[(insn.mnemonic, shape_of_instruction(insn))] = stage
-        return result
-    except Exception:
-        return None
+def _param_result_from_dict(data: dict) -> ParamResult:
+    """Rebuild a ParamResult (raises on a stale payload shape)."""
+    derived = RuleSet()
+    for entry in data["derived"]:
+        derived.add(rule_from_dict(entry))
+    result = ParamResult(derived=derived, counts=ParamCounts(**data["counts"]))
+    for text, stage in data["stages"]:
+        insn = arm_asm.parse_line(text)
+        result.target_stage[(insn.mnemonic, shape_of_instruction(insn))] = stage
+    return result
 
 
 #: Derivation is independent of the learned set (it only authorizes and
@@ -366,10 +363,8 @@ def _derive_target(guest: Instruction) -> Optional[TranslationRule]:
     memoized = _TARGET_MEMO.get(key)
     if memoized is not MISS:
         return memoized
-    stored = disk_cache().get("derive-target", key)
-    if stored is not MISS:
-        rule = rule_from_dict(stored) if stored is not None else None
-    else:
+    rule = disk_cache().get("derive-target", key, decode=_rule_or_none)
+    if rule is MISS:
         started = time.perf_counter()
         rule = _derive_target_uncached(guest)
         disk_cache().put(
@@ -380,6 +375,10 @@ def _derive_target(guest: Instruction) -> Optional[TranslationRule]:
         )
     _TARGET_MEMO.put(key, rule)
     return rule
+
+
+def _rule_or_none(data: Optional[dict]) -> Optional[TranslationRule]:
+    return rule_from_dict(data) if data is not None else None
 
 
 def _derive_target_text(guest_text: str) -> Optional[dict]:
@@ -397,8 +396,7 @@ def _prefetch_targets(
         return
     derived = parallel_map(_derive_target_text, [str(g) for g in pending], jobs)
     for guest, data in zip(pending, derived):
-        rule = rule_from_dict(data) if data is not None else None
-        _TARGET_MEMO.put(str(guest), rule)
+        _TARGET_MEMO.put(str(guest), _rule_or_none(data))
 
 
 def _derive_target_uncached(guest: Instruction) -> Optional[TranslationRule]:

@@ -1,40 +1,27 @@
 """Content-addressed stage artifacts with single-flight build-or-wait.
 
 Every pipeline stage (:mod:`repro.pipeline.stages`) persists its output as
-one checksummed JSON artifact keyed by a digest over the stage's *inputs*
-(upstream artifact digests + parameters).  A rerun whose inputs are
-unchanged resolves to the same digest and loads the artifact instead of
-rebuilding — the bergamot-style "skip if the artifact exists" discipline —
-while any input change shifts the digest and forces a rebuild of that stage
-and everything downstream.
+one artifact keyed by a digest over the stage's *inputs* (upstream artifact
+digests + parameters).  A rerun whose inputs are unchanged resolves to the
+same digest and loads the artifact instead of rebuilding — the
+bergamot-style "skip if the artifact exists" discipline — while any input
+change shifts the digest and forces a rebuild of that stage and everything
+downstream.
 
-The on-disk entry format and fault model are the ones proven by
-:mod:`repro.service.diskcode`: entries are written once via atomic rename,
-carry a sha256 over ``(format, key, payload)``, and a truncated / bit-
-flipped / hand-edited entry fails verification and is quarantined (deleted
-and rebuilt), never trusted.  Concurrent pipelines racing on one stage go
-through the shared :mod:`repro.fslock` claim-or-wait protocol: one process
-builds, the rest wait for the publication, and a dead builder's stale lock
-is broken rather than waited on forever.
+:class:`ArtifactStore` keeps one :class:`repro.castore.CAStore` per stage
+directory (entry format, fault model and cross-process claim-or-wait live
+there), so invalidating a stage is a directory clear.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import fslock
-from repro.cache import atomic_write_text
+from repro.castore import BUILT, COUNTERS, HIT, CAStore, canonical_digest  # noqa: F401
 
 #: Entry format tag; bump on any incompatible artifact schema change.
 ARTIFACT_FORMAT = "repro-artifact-v1"
-
-#: ``get_or_build`` outcomes.
-HIT = "hit"
-BUILT = "built"
 
 
 def artifact_digest(stage: str, *parts: Any) -> str:
@@ -44,21 +31,11 @@ def artifact_digest(stage: str, *parts: Any) -> str:
     parameters that change the output.  JSON-canonicalized so equal inputs
     digest identically across processes.
     """
-    canon = json.dumps(
-        [ARTIFACT_FORMAT, stage, list(parts)], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _payload_checksum(key: str, payload: Any) -> str:
-    canon = json.dumps(
-        [ARTIFACT_FORMAT, key, payload], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return canonical_digest(ARTIFACT_FORMAT, stage, list(parts))
 
 
 class ArtifactStore:
-    """One directory of checksummed, write-once stage artifacts.
+    """Checksummed, write-once stage artifacts, one directory per stage.
 
     Counters are per-process; the pipeline surfaces them through
     ``repro pipeline status`` and the run report (CI asserts a second run
@@ -79,89 +56,43 @@ class ArtifactStore:
         self.stale_lock_seconds = stale_lock_seconds
         self.wait_timeout = wait_timeout
         self.poll_interval = poll_interval
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.writes = 0
-        self.builds = 0
-        self.claims = 0
-        self.waits = 0
-        self.wait_timeouts = 0
-        self.stale_breaks = 0
+        self._stages: Dict[str, CAStore] = {}
 
-    def _incr(self, name: str, delta: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + delta)
+    def _stage(self, stage: str) -> CAStore:
+        store = self._stages.get(stage)
+        if store is None:
+            store = self._stages.setdefault(
+                stage,
+                CAStore(
+                    self.root / stage,
+                    ARTIFACT_FORMAT,
+                    stale_lock_seconds=self.stale_lock_seconds,
+                    wait_timeout=self.wait_timeout,
+                    poll_interval=self.poll_interval,
+                ),
+            )
+        return store
 
-    # -- paths ---------------------------------------------------------------
+    def _stage_names(self) -> List[str]:
+        if not self.root.is_dir():
+            return []
+        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
+
+    # -- entries -------------------------------------------------------------
 
     def entry_path(self, stage: str, digest: str) -> Path:
-        return self.root / stage / f"{digest}.json"
+        return self._stage(stage).entry_path(digest)
 
     def lock_path(self, stage: str, digest: str) -> Path:
-        return self.root / stage / f"{digest}.lock"
-
-    # -- load/store ----------------------------------------------------------
+        return self._stage(stage).lock_path(digest)
 
     def load(self, stage: str, digest: str) -> Optional[Any]:
-        """The stored payload for one stage invocation, or None.
-
-        A malformed, truncated, checksum-mismatched, or misfiled entry is
-        deleted (so the next builder rewrites it) and reported as a miss —
-        the pipeline must never act on a corrupt artifact.
-        """
-        path = self.entry_path(stage, digest)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            self._incr("misses")
-            return None
-        except (OSError, ValueError):
-            self._quarantine(path)
-            return None
-        try:
-            if entry["format"] != ARTIFACT_FORMAT or entry["key"] != digest:
-                raise ValueError("stale or misfiled artifact")
-            payload = entry["payload"]
-            if entry["sha256"] != _payload_checksum(digest, payload):
-                raise ValueError("checksum mismatch")
-        except (KeyError, TypeError, ValueError):
-            self._quarantine(path)
-            return None
-        self._incr("hits")
-        return payload
-
-    def _quarantine(self, path: Path) -> None:
-        self._incr("corrupt")
-        self._incr("misses")
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        """The stored payload for one stage invocation, or None."""
+        return self._stage(stage).load(digest)
 
     def store(self, stage: str, digest: str, payload: Any) -> bool:
-        """Publish a stage artifact atomically; False if already present."""
-        path = self.entry_path(stage, digest)
-        if path.exists():
-            return False
-        entry = {
-            "format": ARTIFACT_FORMAT,
-            "key": digest,
-            "stage": stage,
-            "sha256": _payload_checksum(digest, payload),
-            "payload": payload,
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, json.dumps(entry, sort_keys=True))
-        except OSError:
-            return False  # read-only store disables persistence only
-        self._incr("writes")
-        return True
-
-    # -- skip-or-build -------------------------------------------------------
+        """Publish a stage artifact; False if already present or unwritable."""
+        return self._stage(stage).store(digest, payload)
 
     def get_or_build(
         self, stage: str, digest: str, build: Callable[[], Any]
@@ -174,30 +105,7 @@ class ArtifactStore:
         propagate after the lock is released, so a crashed build never
         wedges other pipelines.
         """
-        cached = self.load(stage, digest)
-        if cached is not None:
-            return cached, HIT
-        def note(event: str) -> None:
-            self._incr(event + "s")
-
-        outcome, cached = fslock.claim_or_wait(
-            self.lock_path(stage, digest),
-            lambda: self.load(stage, digest),
-            stale_lock_seconds=self.stale_lock_seconds,
-            wait_timeout=self.wait_timeout,
-            poll_interval=self.poll_interval,
-            on_event=note,
-        )
-        if outcome == fslock.CACHED:
-            return cached, HIT
-        try:
-            payload = build()
-            self._incr("builds")
-            self.store(stage, digest, payload)
-        finally:
-            if outcome == fslock.CLAIMED:
-                fslock.release(self.lock_path(stage, digest))
-        return payload, BUILT
+        return self._stage(stage).get_or_build(digest, build)
 
     # -- maintenance / observability -----------------------------------------
 
@@ -207,40 +115,15 @@ class ArtifactStore:
         Digest chaining means invalidating one stage forces a rebuild of it
         and every downstream stage on the next run.
         """
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        roots = [self.root / stage] if stage is not None else [
-            p for p in self.root.iterdir() if p.is_dir()
-        ]
-        for stage_dir in roots:
-            if not stage_dir.is_dir():
-                continue
-            for path in stage_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        names = [stage] if stage is not None else self._stage_names()
+        return sum(self._stage(name).clear() for name in names)
 
     def entry_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(self._stage(name).entry_count() for name in self._stage_names())
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "directory": str(self.root),
-                "entries": self.entry_count(),
-                "hits": self.hits,
-                "misses": self.misses,
-                "corrupt": self.corrupt,
-                "writes": self.writes,
-                "builds": self.builds,
-                "claims": self.claims,
-                "waits": self.waits,
-                "wait_timeouts": self.wait_timeouts,
-                "stale_breaks": self.stale_breaks,
-            }
+        totals = dict.fromkeys(COUNTERS, 0)
+        for store in list(self._stages.values()):
+            for name, value in store.counters().items():
+                totals[name] += value
+        return {"directory": str(self.root), "entries": self.entry_count(), **totals}

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache import atomic_write_text
+from repro.castore import atomic_write_text
 from repro.errors import ReproError
 from repro.pipeline.artifacts import BUILT, HIT, ArtifactStore, artifact_digest
 from repro.pipeline.manifest import (

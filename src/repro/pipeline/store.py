@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro import fslock
-from repro.cache import atomic_write_text
+from repro.castore import atomic_write_text
 from repro.errors import ReproError
 from repro.pipeline.manifest import body_digest, validate_body
 

@@ -7,28 +7,12 @@ processes: when N freshly-forked workers take a cold-start stampede for the
 same program, the block codegen should happen once, cluster-wide, and every
 other worker should get a warm source-level hit.
 
-Two mechanisms, both built on plain files so they survive any worker dying
-at any point:
-
-* **content-addressed entries** — :func:`generate_block_source` output is
-  persisted as JSON keyed by a SHA-256 digest over ``(unit digest, stage,
-  block start, training corpus, pipeline version, codegen version)``.
-  Entries are published with the repo-wide atomic-rename discipline
-  (:func:`repro.cache.atomic_write_text`) and carry a SHA-256 checksum over
-  their own payload: a truncated, bit-flipped, or hand-edited entry fails
-  verification and is treated as a **miss** (deleted and rewritten), never
-  executed.
-* **lockfile claim-or-wait** — a worker that misses tries to create
-  ``<digest>.lock`` with ``O_CREAT | O_EXCL`` (atomic on every POSIX
-  filesystem).  The winner generates and publishes; losers poll for the
-  entry to appear instead of generating again.  A lock whose holder died
-  (no entry appears and the lockfile outlives ``stale_lock_seconds``) is
-  broken and re-claimed, so a SIGKILL'd claimant can never deadlock the
-  pool; and a waiter that exhausts ``wait_timeout`` falls back to
-  generating locally — duplicated work, never a stall.  The protocol
-  itself lives in :mod:`repro.fslock` (it is shared with the pipeline
-  artifact store); this class binds it to digest-addressed paths and
-  per-process counters.
+:class:`DiskCodeCache` is a typed adapter over :class:`repro.castore.CAStore`
+(entry format, fault model and claim-or-wait live there): it keys
+:func:`generate_block_source` output by ``(unit digest, stage, block start,
+training corpus, pipeline version, codegen version)`` and decodes entries
+back into :class:`BlockSource`/:class:`TraceSource`, whose payload checks
+reject a malformed entry before it can reach ``compile()``.
 
 Workers recompile cached source locally with
 :func:`repro.dbt.compiler.compile_block_source` — only ``compile()`` of
@@ -38,15 +22,13 @@ what the stampede tests count to prove single-flight held.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import fslock
-from repro.cache import PIPELINE_VERSION, atomic_write_text
+from repro.cache import PIPELINE_VERSION
+from repro.castore import CAStore, canonical_digest
 from repro.dbt.compiler import BLOCK_CODEGEN_VERSION, BlockSource
 from repro.dbt.trace import TRACE_CODEGEN_VERSION, TraceSource
 
@@ -62,21 +44,12 @@ CACHED = fslock.CACHED
 TIMEOUT = fslock.TIMEOUT
 
 
-def _payload_checksum(key: str, payload: Dict[str, Any]) -> str:
-    """Checksum binding an entry's payload to its key and format version."""
-    canon = json.dumps(
-        [DISKCODE_VERSION, key, payload], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 class DiskCodeCache:
     """Content-addressed generated-source store with lockfile single-flight.
 
-    All methods are safe to call from executor threads and from many
-    processes at once; the only shared state is the filesystem.  Counters
-    are per-process (each pool worker reports its own through the stats
-    endpoint; the pool aggregates).
+    Safe to call from executor threads and from many processes at once.
+    Counters are per-process (each pool worker reports its own through the
+    stats endpoint; the pool aggregates).
     """
 
     def __init__(
@@ -87,23 +60,13 @@ class DiskCodeCache:
         poll_interval: float = 0.005,
     ) -> None:
         self.root = Path(root)
-        self.stale_lock_seconds = stale_lock_seconds
-        self.wait_timeout = wait_timeout
-        self.poll_interval = poll_interval
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.writes = 0
-        self.generations = 0  # codegen performed by this process
-        self.claims = 0
-        self.waits = 0  # claim lost; waited on another process's codegen
-        self.wait_timeouts = 0
-        self.stale_breaks = 0
-
-    def _incr(self, name: str, delta: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + delta)
+        self._store = CAStore(
+            root,
+            DISKCODE_VERSION,
+            stale_lock_seconds=stale_lock_seconds,
+            wait_timeout=wait_timeout,
+            poll_interval=poll_interval,
+        )
 
     # -- keys and paths ------------------------------------------------------
 
@@ -113,20 +76,15 @@ class DiskCodeCache:
         The block codegen version is mixed in, so a codegen change turns
         every entry an older build wrote into a miss.
         """
-        canon = json.dumps(
-            [
-                DISKCODE_VERSION,
-                PIPELINE_VERSION,
-                BLOCK_CODEGEN_VERSION,
-                unit_digest,
-                stage,
-                start,
-                training,
-            ],
-            sort_keys=True,
-            separators=(",", ":"),
+        return canonical_digest(
+            DISKCODE_VERSION,
+            PIPELINE_VERSION,
+            BLOCK_CODEGEN_VERSION,
+            unit_digest,
+            stage,
+            start,
+            training,
         )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def trace_key(
         self,
@@ -142,163 +100,67 @@ class DiskCodeCache:
         the trace codegen version mixed in so a trace-calling-convention
         change can never resurrect stale entries.
         """
-        canon = json.dumps(
-            [
-                DISKCODE_VERSION,
-                PIPELINE_VERSION,
-                TRACE_CODEGEN_VERSION,
-                unit_digest,
-                stage,
-                list(block_starts),
-                training,
-            ],
-            sort_keys=True,
-            separators=(",", ":"),
+        return canonical_digest(
+            DISKCODE_VERSION,
+            PIPELINE_VERSION,
+            TRACE_CODEGEN_VERSION,
+            unit_digest,
+            stage,
+            list(block_starts),
+            training,
         )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def entry_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+        return self._store.entry_path(digest)
 
     def lock_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.lock"
+        return self._store.lock_path(digest)
 
-    # -- entry load/store ----------------------------------------------------
+    # -- entries -------------------------------------------------------------
 
     def load(self, digest: str) -> Optional[BlockSource]:
-        """The cached block source for *digest*, or None.
-
-        A malformed, truncated, checksum-mismatched, or version-stale
-        entry is deleted (so the next writer rewrites it) and reported as
-        a miss — corrupted source text must never reach ``compile()``.
-        """
-        return self._load_entry(digest, BlockSource.from_payload)
+        """The cached block source for *digest*, or None."""
+        return self._store.load(digest, BlockSource.from_payload)
 
     def load_trace(self, digest: str) -> Optional[TraceSource]:
-        """The cached trace source for *digest*, or None (same discipline)."""
-        return self._load_entry(digest, TraceSource.from_payload)
-
-    def _load_entry(self, digest: str, from_payload):
-        path = self.entry_path(digest)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            self._incr("misses")
-            return None
-        except (OSError, ValueError):
-            self._quarantine(path)
-            return None
-        try:
-            if entry["format"] != DISKCODE_VERSION or entry["key"] != digest:
-                raise ValueError("stale or misfiled entry")
-            payload = entry["payload"]
-            if entry["sha256"] != _payload_checksum(digest, payload):
-                raise ValueError("checksum mismatch")
-            source = from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            self._quarantine(path)
-            return None
-        self._incr("hits")
-        return source
-
-    def _quarantine(self, path: Path) -> None:
-        """Drop a corrupt entry so it is rewritten; count it as a miss."""
-        self._incr("corrupt")
-        self._incr("misses")
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        """The cached trace source for *digest*, or None."""
+        return self._store.load(digest, TraceSource.from_payload)
 
     def store(self, digest: str, source) -> bool:
-        """Publish generated source atomically; False if already present.
+        """Publish generated source (``BlockSource`` or ``TraceSource``);
+        False if already present or unwritable."""
+        return self._store.store(digest, source.to_payload())
 
-        ``source`` is any payload-bearing codegen product (``BlockSource``
-        or ``TraceSource`` — both round-trip through ``to_payload()``).
-        The present-check makes the stampede accounting exact: with the
-        claim protocol honoured only one process writes, and even a
-        fallback writer (post-timeout) will not clobber a published entry.
-        """
-        path = self.entry_path(digest)
-        if path.exists():
-            return False
-        payload = source.to_payload()
-        entry = {
-            "format": DISKCODE_VERSION,
-            "key": digest,
-            "sha256": _payload_checksum(digest, payload),
-            "payload": payload,
-        }
-        try:
-            atomic_write_text(path, json.dumps(entry, sort_keys=True))
-        except OSError:
-            return False  # read-only/full cache dir disables persistence only
-        self._incr("writes")
-        return True
+    def get_or_build(
+        self, digest: str, generate: Callable[[], BlockSource]
+    ) -> BlockSource:
+        """The block source for *digest*, generated once cluster-wide."""
+        source, _ = self._store.get_or_build(
+            digest,
+            generate,
+            encode=BlockSource.to_payload,
+            decode=BlockSource.from_payload,
+        )
+        return source
 
-    # -- cross-process single-flight (protocol in repro.fslock) --------------
-
-    def _try_claim(self, digest: str) -> bool:
-        return fslock.try_claim(self.lock_path(digest))
+    def claim_or_wait(self, digest: str) -> Tuple[str, Optional[BlockSource]]:
+        """:func:`repro.fslock.claim_or_wait` on one block's entry: returns
+        ``(CLAIMED, None)``, ``(CACHED, source)`` or ``(TIMEOUT, None)``."""
+        return self._store.claim_or_wait(digest, BlockSource.from_payload)
 
     def release(self, digest: str) -> None:
-        fslock.release(self.lock_path(digest))
-
-    def _lock_age(self, digest: str) -> Optional[float]:
-        return fslock.lock_age(self.lock_path(digest))
-
-    def _note_claim_event(self, event: str) -> None:
-        # fslock event names map 1:1 onto this cache's counter names.
-        self._incr(event + "s")
-
-    def claim_or_wait(
-        self, digest: str
-    ) -> Tuple[str, Optional[BlockSource]]:
-        """Claim the right to generate *digest*, or wait for whoever did.
-
-        Returns one of::
-
-            (CLAIMED, None)     -- caller must generate, store, and release
-            (CACHED, source)    -- another process published; use it
-            (TIMEOUT, None)     -- waited too long; generate locally,
-                                   do NOT release (the lock isn't ours)
-
-        Never raises and never blocks longer than ``wait_timeout``: a
-        claimant that died pre-publish is detected through lock age and
-        its lock broken (``stale_breaks``), and a wait that still
-        exhausts the budget degrades to duplicated local work.
-        """
-        return fslock.claim_or_wait(
-            self.lock_path(digest),
-            lambda: self.load(digest),
-            stale_lock_seconds=self.stale_lock_seconds,
-            wait_timeout=self.wait_timeout,
-            poll_interval=self.poll_interval,
-            on_event=self._note_claim_event,
-        )
+        self._store.release(digest)
 
     # -- maintenance / observability -----------------------------------------
 
     def entry_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return self._store.entry_count()
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "directory": str(self.root),
-                "hits": self.hits,
-                "misses": self.misses,
-                "corrupt": self.corrupt,
-                "writes": self.writes,
-                "generations": self.generations,
-                "claims": self.claims,
-                "waits": self.waits,
-                "wait_timeouts": self.wait_timeouts,
-                "stale_breaks": self.stale_breaks,
-            }
+        counters = self._store.counters()
+        # codegen performed by this process
+        counters["generations"] = counters.pop("builds")
+        return {"directory": str(self.root), **counters}
 
 
 class TraceSourceDiskAdapter:

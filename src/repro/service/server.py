@@ -63,7 +63,7 @@ from repro.errors import ExecutionError, ReproError
 from repro.param.engine import STAGES, SystemSetup
 from repro.service import protocol
 from repro.service.codecache import SingleFlightCodeCache
-from repro.service.diskcode import CLAIMED, DiskCodeCache
+from repro.service.diskcode import DiskCodeCache
 from repro.service.protocol import ProtocolError
 from repro.service.stats import EndpointStats
 
@@ -429,27 +429,17 @@ class TranslationService:
 
         Warm path: hash-verified cached source from any pool worker is
         re-instantiated with a local ``compile()`` — no codegen, no
-        compile-listener fire.  Cold path: claim-or-wait ensures exactly
-        one worker generates and publishes; a wait timeout degrades to
-        duplicated local codegen (never a stall, never an error).  Runs in
-        an executor thread, so the blocking file IO here is fine.
+        compile-listener fire.  Cold path: one worker generates and
+        publishes while the others wait (a wait timeout degrades to
+        duplicated local codegen, never a stall or an error).  Runs in an
+        executor thread, so the blocking file IO here is fine.
         """
-        disk = self.disk_code
-        digest = disk.key(ctx.digest, stage, start, self._training_key(gen))
-        source = disk.load(digest)
-        if source is None:
-            outcome, cached = disk.claim_or_wait(digest)
-            if cached is not None:
-                source = cached
-            else:
-                try:
-                    source = generate_block_source(tb, kernel.defs)
-                    disk._incr("generations")
-                    if outcome == CLAIMED:
-                        disk.store(digest, source)
-                finally:
-                    if outcome == CLAIMED:
-                        disk.release(digest)
+        digest = self.disk_code.key(
+            ctx.digest, stage, start, self._training_key(gen)
+        )
+        source = self.disk_code.get_or_build(
+            digest, partial(generate_block_source, tb, kernel.defs)
+        )
         return compile_block_source(tb, source, kernel.defs)
 
     async def _ensure_blocks(

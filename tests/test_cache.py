@@ -14,7 +14,6 @@ from repro.cache import (
     CacheStats,
     DiskCache,
     clear_all_caches,
-    digest_key,
     register_cache,
 )
 
@@ -38,23 +37,7 @@ class TestDiskCache:
         disk.put("kind", "a", payload=1)
         assert disk.get("kind", "b") is MISS
         assert disk.get("other", "a") is MISS
-        assert digest_key("kind", "a") != digest_key("kind", "b")
-
-    def test_version_stamp_mismatch_recomputes(self, disk):
-        disk.put("kind", "a", payload="fresh")
-        path = disk._path(digest_key("kind", "a"))
-        entry = json.loads(path.read_text())
-        entry["version"] = "some-older-pipeline"
-        path.write_text(json.dumps(entry))
-        assert disk.get("kind", "a") is MISS  # stale -> recompute, not crash
-
-    def test_corrupted_entry_is_a_miss(self, disk):
-        disk.put("kind", "a", payload="fresh")
-        path = disk._path(digest_key("kind", "a"))
-        path.write_text('{"version": truncated garba')
-        assert disk.get("kind", "a") is MISS
-        disk.put("kind", "a", payload="recomputed")  # and can be re-put
-        assert disk.get("kind", "a") == "recomputed"
+        assert disk.entry_path("kind", "a") != disk.entry_path("kind", "b")
 
     def test_clear_and_counts(self, disk):
         for i in range(5):
@@ -234,6 +217,42 @@ class TestPipelineDiskReuse:
             assert [str(r) for r in warm.derived] == [str(r) for r in cold.derived]
             assert warm.counts == cold.counts
             assert warm.target_stage == cold.target_stage
+        finally:
+            cache_mod.reset_disk_cache(previous_root)
+            clear_all_caches()
+
+    def test_tampered_derive_rules_entry_is_recomputed(self, tmp_path):
+        """A ``derive-rules`` entry edited in place (still valid JSON, one
+        host mnemonic changed) is a miss: it is quarantined and the correct
+        rule set is derived again instead of the tampered one served."""
+        import re
+
+        from repro.experiments.common import benchmark_learning
+        from repro.param.derive import derive_rules
+
+        previous_root = cache_mod.disk_cache().root
+        root = tmp_path / "tamper"
+        cache_mod.reset_disk_cache(root)
+        try:
+            learned = benchmark_learning("gcc").rules
+            cold = [str(rule) for rule in derive_rules(learned).derived]
+            (entry,) = [
+                path for path in root.glob("*/*.json")
+                if '"stages"' in path.read_text()
+            ]
+            text = entry.read_text()
+            tampered = re.sub(r'"host": \["addl ', '"host": ["subl ', text, count=1)
+            assert tampered != text
+            entry.write_text(tampered)
+
+            clear_all_caches()
+            before = STATS.snapshot()
+            warm = [str(rule) for rule in derive_rules(learned).derived]
+            delta = STATS.delta(before)
+            assert warm == cold
+            assert delta.disk_misses >= 1
+            healed = entry.read_text()  # rewritten with the correct rules
+            assert healed.count('"host": ["subl ') == text.count('"host": ["subl ')
         finally:
             cache_mod.reset_disk_cache(previous_root)
             clear_all_caches()

@@ -312,7 +312,7 @@ class TestTraceSourcePersistence:
             results.append(engine.run())
         # Second engine formed its trace from the first engine's published
         # source — and execution stays byte-identical either way.
-        assert disk.writes == 1
-        assert disk.hits >= 1
+        assert disk.stats()["writes"] == 1
+        assert disk.stats()["hits"] >= 1
         for lap, result in enumerate(results):
             _assert_parity(ref, result, f"shared-source engine {lap}")

@@ -26,6 +26,7 @@ from repro.dbt.compiler import (
     generate_block_source,
     remove_compile_listener,
 )
+from repro import fslock
 from repro.service.diskcode import CACHED, CLAIMED, TIMEOUT, DiskCodeCache
 
 
@@ -206,7 +207,7 @@ class TestClaimOrWait:
             tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2
         )
         digest = cache.key("u", "condition", 0, "quick")
-        assert cache._try_claim(digest)  # some other process holds the lock
+        assert fslock.try_claim(cache.lock_path(digest))  # some other process holds the lock
         waiter = DiskCodeCache(
             tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2
         )
@@ -217,12 +218,36 @@ class TestClaimOrWait:
         assert waiter.stats()["wait_timeouts"] == 1
         assert cache.lock_path(digest).exists()  # not ours to release
 
+    def test_timed_out_waiter_builds_and_publishes_once(self, tmp_path):
+        """After a wait timeout against a live lock the waiter generates
+        locally and publishes; the claimant's later store is a no-op, so
+        the entry is written exactly once and the first writer's stays."""
+        holder = DiskCodeCache(tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2)
+        digest = holder.key("u", "condition", 0, "quick")
+        assert fslock.try_claim(holder.lock_path(digest))
+        waiter = DiskCodeCache(tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2)
+        generated = []
+
+        def generate():
+            generated.append(1)
+            return _source()
+
+        assert waiter.get_or_build(digest, generate) == _source()
+        assert generated == [1]
+        stats = waiter.stats()
+        assert stats["wait_timeouts"] == 1
+        assert stats["generations"] == 1 and stats["writes"] == 1
+        assert holder.lock_path(digest).exists()  # not ours to release
+        assert holder.store(digest, _source("def _run0(state):\n    pass\n")) is False
+        assert holder.load(digest) == _source()
+        assert holder.entry_count() == 1
+
     def test_stale_lock_from_dead_claimant_is_broken(self, tmp_path):
         cache = DiskCodeCache(
             tmp_path, stale_lock_seconds=0.2, wait_timeout=10.0
         )
         digest = cache.key("u", "condition", 0, "quick")
-        assert cache._try_claim(digest)
+        assert fslock.try_claim(cache.lock_path(digest))
         # Backdate the lockfile: its claimant "died" long ago.
         lock = cache.lock_path(digest)
         old = time.time() - 60.0
@@ -241,7 +266,7 @@ class TestClaimOrWait:
 
         cache = DiskCodeCache(tmp_path, wait_timeout=10.0)
         digest = cache.key("u", "condition", 0, "quick")
-        assert cache._try_claim(digest)
+        assert fslock.try_claim(cache.lock_path(digest))
 
         def publish():
             time.sleep(0.05)
