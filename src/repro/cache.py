@@ -70,6 +70,14 @@ class CacheStats:
     derivations: int = 0
     #: wall-clock seconds of recorded compute skipped thanks to disk hits.
     seconds_saved: float = 0.0
+    #: jit blocks bound into template form (``repro.dbt.compiler.bind_block``).
+    jit_blocks_bound: int = 0
+    #: template-form blocks compiled to inline code on their N-th execution.
+    jit_tierups_count: int = 0
+    #: ... or on their first execution in a later run of the same engine.
+    jit_tierups_reuse: int = 0
+    #: per-shape closure factories compiled (one per shape per process).
+    jit_template_shapes: int = 0
 
     def __post_init__(self) -> None:
         # Not a dataclass field: asdict()/snapshot() must only see counters.

@@ -8,7 +8,22 @@ instruction, a label lookup per taken branch.  This module translates a
 :class:`~repro.dbt.translator.TranslatedBlock`, and ``compile_block``
 lowers that host tuple into specialized Python functions, the
 threaded-code / closure-compilation technique QEMU-style engines use to
-escape dispatch overhead:
+escape dispatch overhead.  A block has two executable forms:
+
+* **template form** (:func:`bind_block`) — every cold jit block starts
+  here, with no ``compile()`` of its own.  Host code is highly repetitive
+  once constants are abstracted (a few dozen instruction *shapes* cover
+  thousands of blocks), so one factory per shape — mnemonic,
+  the operand properties the emitters branch on, dead-flag set — is
+  compiled once per process from the same emitters, and binding a block
+  is one factory call per instruction with its operand constants.  The
+  block runs as a tuple of functions per run in a small run-graph loop;
+* **inline form** (:func:`compile_block`) — one generated function per
+  block, described below.  The engine tiers a block up to it once it has
+  run often enough to be worth its ``compile()``.
+
+The inline form is specialized the way a template JIT specializes
+machine code:
 
 * **operand pre-resolution** — every operand is resolved at compile time
   into a direct slot access in the generated source: a register becomes a
@@ -38,8 +53,8 @@ escape dispatch overhead:
   returns), and condition codes become inlined predicates over the flag
   file.  Translated blocks only branch forward, and every path through
   one counts alike; a block with a backward edge or path-dependent counts
-  instead compiles to one counting function per run behind the
-  interpreter's runaway guard (:class:`GuardedCompiledBlock`);
+  has no inline form and runs on the template runner behind the
+  interpreter's runaway guard, counting per run (the guarded form);
 * **block chaining** — each compiled block carries a ``chain`` map from
   successor guest-block index to the successor's compiled body; the
   engine's jit loop (:meth:`repro.dbt.engine.DBTEngine.run`) transfers
@@ -48,8 +63,9 @@ escape dispatch overhead:
 
 The interpreter backend remains the oracle: compiled execution must
 produce byte-identical architectural state *and* identical ``RunMetrics``
-counts (``tests/test_backend_difftest.py`` enforces this over the corpus
-plus hundreds of fuzzed programs).  The generated code therefore
+counts in either form (``tests/test_backend_difftest.py`` enforces this
+over the corpus plus hundreds of fuzzed programs, each run twice so both
+forms execute).  The generated code therefore
 replicates the exact arithmetic of
 :class:`repro.semantics.domain.ConcreteDomain` — the 33-bit carry /
 sign-overlap overflow formulas, the shift saturation rules, 0/1 integer
@@ -59,8 +75,11 @@ the shared semantics function, which is always correct.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+
+from repro.cache import STATS
 
 from repro.dbt.executor import _MAX_BLOCK_STEPS, WEIGHTS
 from repro.dbt.runtime import DISPATCH_LABEL
@@ -79,7 +98,7 @@ _NONE: FrozenSet[str] = frozenset()
 #: Bump whenever generated block source changes shape or meaning.  It is
 #: part of the disk code cache key, so entries written by an older
 #: codegen become misses instead of being executed.
-BLOCK_CODEGEN_VERSION = "block-v3"
+BLOCK_CODEGEN_VERSION = "block-v4"
 
 #: Run-index sentinel: control leaves the block (the dispatch-label exit).
 EXIT = -1
@@ -115,6 +134,51 @@ def _uninit(exc: KeyError) -> None:
 
 
 # -- operand codegen -----------------------------------------------------------
+#
+# The emitters render an operand's constants into the text they append.  A
+# concrete operand renders them as literals (the inline ``_block`` form).  A
+# template operand (:func:`_template_operand`) holds a :class:`_Param` in
+# their place, which renders as the name of a factory parameter.
+
+
+class _Param(str):
+    """A template parameter standing in for an operand constant.
+
+    ``repr`` is the bare name, so ``regs[{name!r}]`` renders ``regs[_p0]``
+    for a template register as it renders ``regs['t0']`` for a real one.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return str.__str__(self)
+
+
+class _WordParam(_Param):
+    """Parameter holding a word-aligned constant address.  Its word index
+    is the parameter of the same name plus ``w`` (:func:`_make_factory`
+    computes it once per bound instruction)."""
+
+    __slots__ = ()
+
+
+def _const(value) -> str:
+    """An integer constant as text: its masked literal, or a parameter."""
+    return value if isinstance(value, _Param) else str(value & _MASK)
+
+
+def _const_slot(mem: Mem) -> Tuple[bool, str]:
+    """A constant address as ``(aligned, text)``: the word index when it is
+    word-aligned, else the byte address."""
+    disp = mem.disp
+    if isinstance(disp, _WordParam):
+        return True, f"{disp}w"
+    if isinstance(disp, _Param):
+        return False, disp
+    disp &= _MASK
+    if not disp & 3:
+        return True, str(disp >> 2)
+    return False, str(disp)
 
 
 def _addr_expr(mem: Mem) -> str:
@@ -124,9 +188,8 @@ def _addr_expr(mem: Mem) -> str:
     yields the same 32-bit value.  Single pre-masked terms skip the mask.
     """
     parts: List[str] = []
-    disp = mem.disp & _MASK
-    if disp:
-        parts.append(str(disp))
+    if isinstance(mem.disp, _Param) or mem.disp & _MASK:
+        parts.append(_const(mem.disp))
     if mem.base is not None:
         parts.append(f"regs[{mem.base.name!r}]")
     if mem.index is not None:
@@ -144,13 +207,11 @@ def _read(op, out: List[str], tag: str) -> str:
     if isinstance(op, Reg):
         return f"regs[{op.name!r}]"
     if isinstance(op, Imm):
-        return str(op.value & _MASK)
+        return _const(op.value)
     if isinstance(op, Mem):
         if op.base is None and op.index is None:
-            disp = op.disp & _MASK
-            if not disp & 3:
-                return f"mem.get({disp >> 2}, 0)"
-            return f"st.load({disp})"
+            aligned, slot = _const_slot(op)
+            return f"mem.get({slot}, 0)" if aligned else f"st.load({slot})"
         a, v = f"_a{tag}", f"_v{tag}"
         out.append(f"{a} = {_addr_expr(op)}")
         out.append(
@@ -167,11 +228,11 @@ def _write(op, value: str, out: List[str], tag: str) -> None:
         return
     if isinstance(op, Mem):
         if op.base is None and op.index is None:
-            disp = op.disp & _MASK
-            if not disp & 3:
-                out.append(f"mem[{disp >> 2}] = {value}")
+            aligned, slot = _const_slot(op)
+            if aligned:
+                out.append(f"mem[{slot}] = {value}")
             else:
-                out.append(f"st.store({disp}, {value})")
+                out.append(f"st.store({slot}, {value})")
             return
         a, w = f"_a{tag}", f"_w{tag}"
         out.append(f"{a} = {_addr_expr(op)}")
@@ -319,7 +380,7 @@ def _emit_umlal(k, insn, out) -> None:
 
 
 def _emit_insn(
-    k: int,
+    k,
     insn: Instruction,
     defn: InstructionDef,
     out: List[str],
@@ -328,6 +389,8 @@ def _emit_insn(
 ) -> None:
     """Append source lines executing one non-branch instruction.
 
+    *k* suffixes its temporaries and fallback bindings (the instruction's
+    index in a block or trace; ``""`` in a one-instruction template).
     *dead* names host flags this instruction sets that nothing reads
     before they are set again; their stores are left out.  The default
     (nothing dead) emits every store.
@@ -430,7 +493,8 @@ _PRED_EXPR: Dict[str, str] = {
 _Exit = Tuple[Optional[str], Optional[int], Optional[int]]
 #: Per-execution host cost of a block: sorted ``(category, weight)`` pairs.
 HostCounts = Tuple[Tuple[str, int], ...]
-_FELL_THROUGH = "raise ExecutionError('translated block fell through its end')"
+_FELL_MSG = "translated block fell through its end"
+_FELL_THROUGH = f"raise ExecutionError({_FELL_MSG!r})"
 
 
 def _run_leaders(tb: TranslatedBlock, defs) -> List[int]:
@@ -564,39 +628,24 @@ def block_host_counts(
     return _path_counts(tb, *_run_graph(tb, defs))
 
 
-def _run_body(
-    tb: TranslatedBlock,
-    defs,
-    start: int,
-    end: int,
-    ns: Dict,
-    counted: bool,
-) -> List[str]:
-    """Source lines executing ``host[start:end)`` up to its terminator.
-
-    With *counted*, the run's pre-aggregated category counts are added to
-    ``counts`` at its end (the guarded form); otherwise the body carries
-    no accounting and the engine folds the block's constant totals in.
-    """
+def _run_insns(
+    defs, start: int, end: int
+) -> Tuple[range, Dict[int, FrozenSet[str]]]:
+    """The instructions of run ``host[start:end)`` before its terminating
+    branch, and the flags each of them sets that go unread."""
     body_end = end - 1 if defs[end - 1].is_branch else end
-    dead = _dead_flags(defs, start, body_end)
+    return range(start, body_end), _dead_flags(defs, start, body_end)
+
+
+def _run_body(
+    tb: TranslatedBlock, defs, start: int, end: int, ns: Dict
+) -> List[str]:
+    """Source lines executing ``host[start:end)`` up to its terminator."""
+    insns, dead = _run_insns(defs, start, end)
     body: List[str] = []
-    for k in range(start, body_end):
+    for k in insns:
         _emit_insn(k, tb.host[k], defs[k], body, ns, dead.get(k, _NONE))
-    if counted:
-        for cat, weight in sorted(_run_counts(tb, start, end).items()):
-            body.append(f"counts[{cat!r}] = counts.get({cat!r}, 0) + {weight}")
     return body
-
-
-def _return_exit(exit_: _Exit) -> List[str]:
-    """Exit of a run function: return the next run index."""
-    pred, taken, fall = exit_
-    if taken is None:
-        return [_FELL_THROUGH]
-    if pred is None:
-        return [f"return {taken}"]
-    return [f"return {taken} if ({pred}) else {fall}"]
 
 
 def _section_exit(exit_: _Exit) -> List[str]:
@@ -622,7 +671,7 @@ def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
     is guarded by ``if _n == ri:``.  Control only moves to later runs, so
     one pass over the sections runs each taken run once, in order.  The
     sections carry no accounting, so ``counts`` goes unused; it stays in
-    the signature so every compiled block is called the same way.
+    the signature so every block form is called the same way.
     """
     lines = ["def _block(st, counts):", _PROLOGUE, "    try:"]
     for ri, (body, exit_) in enumerate(runs):
@@ -635,38 +684,241 @@ def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
     return lines
 
 
-def _run_functions(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
-    """One ``_run{ri}(st, counts)`` function per run, each returning the
-    next run index (:data:`EXIT` to leave the block)."""
-    lines: List[str] = []
-    for ri, (body, exit_) in enumerate(runs):
-        lines.extend((f"def _run{ri}(st, counts):", _PROLOGUE, "    try:"))
-        lines.extend(f"        {line}" for line in body)
-        lines.extend(f"        {line}" for line in _return_exit(exit_))
-        lines.extend(_EPILOGUE)
-    return lines
+# -- templates -----------------------------------------------------------------
+#
+# A cold block runs without a compile() of its own.  Each host instruction
+# becomes a function made by a factory that is compiled once per process
+# per *shape*: the mnemonic, what the emitters branch on for each operand
+# (:func:`_operand_shape`) and the dead-flag set.  The factory's parameters
+# are the instruction's operand constants, so binding a block is one walk
+# over its operands and one factory call per instruction.
+
+#: Shape -> factory, for the life of the process.  Keyed by shapes
+#: only, never by concrete instructions or blocks, so every block still
+#: pays its own binding.
+_FACTORIES: Dict[Any, Callable] = {}
+
+#: :data:`_PRED_EXPR` as callables over the flag file, for template exits.
+_PRED_FN: Dict[str, Callable] = {
+    expr: eval(f"lambda flags: {expr}")  # noqa: S307 - our own constants
+    for expr in _PRED_EXPR.values()
+}
+
+#: Template-runner exit sentinel: control falls off the end of the host code.
+_FELL = -2
+
+
+def _operand_shape(op, params: List) -> Any:
+    """What the emitters branch on for *op*; its constants go to *params*.
+
+    A register and an immediate are one shape each.  A memory operand's
+    shape is base/index presence, whether the index is scaled and whether
+    the displacement is zero; a constant address's is whether it is
+    word-aligned.  Any other operand is opaque: only the semantics
+    fallback can use it.
+    """
+    if isinstance(op, Reg):
+        params.append(op.name)
+        return "r"
+    if isinstance(op, Imm):
+        params.append(op.value & _MASK)
+        return "i"
+    if isinstance(op, Mem):
+        disp = op.disp & _MASK
+        base, index = op.base, op.index
+        if base is None and index is None:
+            params.append(disp)
+            return "a" if disp & 3 else "w"
+        scaled = index is not None and op.scale != 1
+        if base is not None:
+            params.append(base.name)
+        if index is not None:
+            params.append(index.name)
+        if scaled:
+            params.append(op.scale)
+        if disp:
+            params.append(disp)
+        return ("m", base is not None, index is not None, scaled, disp != 0)
+    params.append(op)
+    return "?"
+
+
+def _template_operand(shape, name: Callable[[], str]):
+    """The operand a template is emitted from: *shape* with each constant
+    replaced by a fresh parameter, in :func:`_operand_shape`'s order."""
+    if shape == "r":
+        return Reg(_Param(name()))
+    if shape == "i":
+        return Imm(_Param(name()))
+    if shape == "w":
+        return Mem(disp=_WordParam(name()))
+    if shape == "a":
+        return Mem(disp=_Param(name()))
+    if shape == "?":
+        return _Param(name())
+    _m, has_base, has_index, scaled, has_disp = shape
+    base = Reg(_Param(name())) if has_base else None
+    index = Reg(_Param(name())) if has_index else None
+    scale = _Param(name()) if scaled else 1
+    disp = _Param(name()) if has_disp else 0
+    return Mem(base=base, index=index, disp=disp, scale=scale)
+
+
+def _make_factory(key, defn: InstructionDef) -> Callable:
+    """Compile the factory for one instruction shape.
+
+    The factory takes the operand constants, then the semantics function
+    and the instruction (used only by the untemplated fallback), and
+    returns the instruction's function with the ones it uses bound as
+    parameter defaults: plain locals, with no closure cells to allocate.
+    """
+    mnemonic, shapes, dead = key
+    counter = itertools.count()
+
+    def name() -> str:
+        return f"_p{next(counter)}"
+
+    operands = tuple(_template_operand(shape, name) for shape in shapes)
+    body: List[str] = []
+    fallback: Dict = {}
+    _emit_insn("", Instruction(mnemonic, operands), defn, body, fallback, dead)
+    params = [f"_p{i}" for i in range(next(counter))]
+    bound = [f"{p}={p}" for p in params] + [
+        f"{op.disp}w={op.disp} >> 2"
+        for op in operands
+        if isinstance(op, Mem) and isinstance(op.disp, _WordParam)
+    ]
+    bound += [f"{p}={p}" for p in fallback]
+    text = "\n".join(
+        [
+            f"def _factory({', '.join(params + ['_sem', '_i'])}):",
+            f"    def _insn(st, regs, mem, flags, {', '.join(bound)}):",
+        ]
+        + [f"        {line}" for line in body or ["pass"]]
+        + ["    return _insn"]
+    )
+    ns: Dict = {}
+    exec(compile(text, f"<dbt-template:{mnemonic}>", "exec"), ns)  # noqa: S102
+    STATS.incr(jit_template_shapes=1)
+    return ns["_factory"]
+
+
+def _bind_insn(
+    insn: Instruction, defn: InstructionDef, dead: FrozenSet[str]
+) -> Callable:
+    """One instruction as a ``(st, regs, mem, flags)`` function."""
+    params: List = []
+    key = (
+        insn.mnemonic,
+        tuple([_operand_shape(op, params) for op in insn.operands]),
+        dead,
+    )
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        factory = _FACTORIES[key] = _make_factory(key, defn)
+    return factory(*params, defn.semantics, insn)
+
+
+def _template_runner(runs, tier_up, after: int):
+    """``execute`` of a path-uniform block in template form.
+
+    Each run's functions execute in order, then its exit picks the next run
+    or leaves the block; nothing is counted, as in the ``_block`` form.
+    With *tier_up*, the *after*-th call goes to ``tier_up(st, counts)``
+    instead, which is expected to replace the block's ``execute``.
+    """
+    left = after if tier_up is not None else 0
+
+    def execute(st, counts):
+        nonlocal left
+        left -= 1
+        if not left:
+            return tier_up(st, counts)
+        regs = st.regs
+        mem = st.memory
+        flags = st.flags
+        ri = 0
+        try:
+            while True:
+                fns, pred, taken, fall = runs[ri]
+                for fn in fns:
+                    fn(st, regs, mem, flags)
+                if pred is not None and not pred(flags):
+                    taken = fall
+                if taken < 0:
+                    if taken == EXIT:
+                        return
+                    raise ExecutionError(_FELL_MSG)
+                ri = taken
+        except KeyError as exc:
+            _uninit(exc)
+
+    return execute
+
+
+def _guarded_runner(runs, step_counts, run_counts):
+    """``execute`` of a block with a backward edge or path-dependent counts.
+
+    The template runner plus the interpreter's ``_MAX_BLOCK_STEPS``
+    runaway guard at run granularity, and each run adding its own weighted
+    counts to ``counts`` (such a block has no constant to fold).
+    """
+
+    def execute(st, counts):
+        regs = st.regs
+        mem = st.memory
+        flags = st.flags
+        ri = 0
+        steps = 0
+        try:
+            while True:
+                steps += step_counts[ri]
+                if steps > _MAX_BLOCK_STEPS:
+                    raise ExecutionError("runaway translated block")
+                fns, pred, taken, fall = runs[ri]
+                for fn in fns:
+                    fn(st, regs, mem, flags)
+                for cat, weight in run_counts[ri]:
+                    counts[cat] = counts.get(cat, 0) + weight
+                if pred is not None and not pred(flags):
+                    taken = fall
+                if taken < 0:
+                    if taken == EXIT:
+                        return
+                    raise ExecutionError(_FELL_MSG)
+                ri = taken
+        except KeyError as exc:
+            _uninit(exc)
+
+    return execute
 
 
 class CompiledBlock:
-    """One translated block, lowered to one generated Python function.
+    """One translated block in executable form.
 
     ``execute(state, counts)`` runs the block to its dispatch exit against
-    *state*.  It is the generated function itself, so the engine's call
-    reaches generated code without a wrapper frame, and it counts
-    nothing: ``host_counts`` holds the block's constant per-execution
-    weighted host-instruction counts (:func:`block_host_counts`), which
-    the engine multiplies by the block's execution count when the run
-    ends.
+    *state*.  It is one of:
+
+    * the **template form** (:func:`bind_block`): a small run-graph loop
+      over per-instruction functions bound from per-shape templates, with
+      no ``compile()`` of the block's own.  Every cold jit block starts
+      here;
+    * the **inline form** (:func:`compile_block`): one generated
+      ``_block`` function, called without a wrapper frame.  The engine
+      tiers a hot block up to it by swapping ``execute`` in place, so
+      chain maps and per-run execution counts keep the same object.
+
+    Neither counts anything: ``host_counts`` holds the block's constant
+    per-execution weighted host-instruction counts
+    (:func:`block_host_counts`), which the engine multiplies by the
+    block's execution count when the run ends.  The exception is the
+    guarded form, for a block with a backward edge or path-dependent
+    counts: its template runner keeps the interpreter's runaway guard and
+    counts per run, ``host_counts`` is empty, and it never tiers up.
 
     ``chain`` maps a successor guest-block index to the successor's
     ``CompiledBlock``; the engine populates it the first time an edge is
     taken (when chaining is enabled) and follows it directly afterwards.
-
-    This class is used when compile-time analysis has proven every path
-    through the run graph forward and equally costly, so each run executes
-    at most once per block execution, no runtime runaway guard is needed
-    and the counts are path-independent.  :class:`GuardedCompiledBlock`
-    handles every other block.
     """
 
     __slots__ = (
@@ -693,42 +945,9 @@ class CompiledBlock:
         self.start = tb.start
 
 
-def _guarded(runs, step_counts):
-    """Run-function dispatch loop with the interpreter's runaway guard."""
-
-    def execute(state, counts: Dict[str, int]) -> None:
-        index = 0
-        steps = 0
-        while index >= 0:
-            steps += step_counts[index]
-            if steps > _MAX_BLOCK_STEPS:
-                raise ExecutionError("runaway translated block")
-            index = runs[index](state, counts)
-
-    return execute
-
-
-class GuardedCompiledBlock(CompiledBlock):
-    """Compiled block with a backward edge or path-dependent counts.
-
-    Translated blocks are path-uniform DAGs in practice, so this is a
-    defensive path: each run is its own generated function that adds its
-    own counts to ``execute``'s ``counts`` argument (``host_counts`` is
-    empty), and ``execute`` keeps the interpreter's ``_MAX_BLOCK_STEPS``
-    runaway guard live at run granularity.
-    """
-
-    __slots__ = ("runs", "step_counts")
-
-    def __init__(self, tb: TranslatedBlock, runs, step_counts) -> None:
-        super().__init__(tb, _guarded(runs, step_counts), ())
-        self.runs = runs
-        self.step_counts = step_counts
-
-
 @dataclass(frozen=True)
 class BlockSource:
-    """The portable product of block codegen: source text + run metadata.
+    """The portable product of block codegen: source text + host counts.
 
     Everything here is plain data (strings and ints), so a
     ``BlockSource`` can be persisted to disk by one process and
@@ -738,49 +957,51 @@ class BlockSource:
     are rebuilt deterministically from the translated block itself, never
     serialized.
 
-    ``host_counts`` is the block's per-execution cost
-    (:func:`block_host_counts`).  Non-empty, the text is one
-    accounting-free ``_block`` function; empty, it is one counting
-    ``_run{ri}`` function per run, for the guarded form.
+    The text is one accounting-free ``_block`` function, and
+    ``host_counts`` is the block's non-empty per-execution cost
+    (:func:`block_host_counts`).
     """
 
     text: str
-    step_counts: Tuple[int, ...]
     host_counts: HostCounts
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable form (the disk code cache's entry payload)."""
         return {
             "text": self.text,
-            "step_counts": list(self.step_counts),
             "host_counts": [list(pair) for pair in self.host_counts],
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "BlockSource":
-        """Rebuild from :meth:`to_payload` output; raises on bad shape."""
+        """Rebuild from :meth:`to_payload` output; raises on bad shape.
+
+        Counts must be real ints (a JSON ``true`` is not a count), and
+        ``host_counts`` must be non-empty: every block has a cost.
+        """
         text = payload["text"]
-        step_counts = payload["step_counts"]
         host_counts = payload["host_counts"]
         if (
             not isinstance(text, str)
-            or not isinstance(step_counts, list)
-            or not all(isinstance(c, int) for c in step_counts)
             or not isinstance(host_counts, list)
+            or not host_counts
             or not all(
                 isinstance(pair, list)
                 and len(pair) == 2
                 and isinstance(pair[0], str)
-                and isinstance(pair[1], int)
+                and type(pair[1]) is int
                 for pair in host_counts
             )
         ):
             raise ValueError("malformed BlockSource payload")
         return cls(
             text=text,
-            step_counts=tuple(step_counts),
             host_counts=tuple((cat, weight) for cat, weight in host_counts),
         )
+
+
+class _PathDependent(ExecutionError):
+    """A block without constant host counts has no inline form."""
 
 
 def _block_defs(
@@ -795,32 +1016,31 @@ def generate_block_source(
     tb: TranslatedBlock,
     defs: Optional[Tuple[InstructionDef, ...]] = None,
 ) -> BlockSource:
-    """Lower one translated block to generated Python source (codegen only).
+    """Lower one path-uniform translated block to generated Python source.
 
     Deterministic: the same translated block always yields byte-identical
     source text, which is what makes the cross-process disk code cache
     sound — any worker's generation is interchangeable with any other's.
     Fires the compile listeners (this is the "work happened" event the
-    single-flight proofs count).
+    single-flight proofs count).  A block without constant host counts has
+    no source form (:func:`compile_block` binds it into the guarded form).
     """
     defs = _block_defs(tb, defs)
     if not tb.host:
         raise ExecutionError("cannot compile an empty translated block")
     bounds, exits = _run_graph(tb, defs)
     host_counts = _path_counts(tb, bounds, exits)
+    if host_counts is None:
+        raise _PathDependent("block has path-dependent host counts")
     scratch: Dict = {}  # _emit_insn's fallback bindings; rebuilt at exec time
     runs = [
-        (_run_body(tb, defs, start, end, scratch, host_counts is None), exit_)
+        (_run_body(tb, defs, start, end, scratch), exit_)
         for (start, end), exit_ in zip(bounds, exits)
     ]
-    lines = _run_functions(runs) if host_counts is None else _block_function(runs)
+    lines = _block_function(runs)
     for listener in tuple(_COMPILE_LISTENERS):
         listener(tb)
-    return BlockSource(
-        text="\n".join(lines),
-        step_counts=tuple(end - start for start, end in bounds),
-        host_counts=host_counts or (),
-    )
+    return BlockSource(text="\n".join(lines), host_counts=host_counts)
 
 
 def compile_block_source(
@@ -844,16 +1064,58 @@ def compile_block_source(
         ns[f"_i{k}"] = insn
     code = compile(source.text, f"<dbt-block@{tb.start:#x}>", "exec")
     exec(code, ns)  # noqa: S102 - source generated from our own IR
-    if source.host_counts:
-        return CompiledBlock(tb, ns["_block"], source.host_counts)
-    runs = tuple(ns[f"_run{ri}"] for ri in range(len(source.step_counts)))
-    return GuardedCompiledBlock(tb, runs, source.step_counts)
+    return CompiledBlock(tb, ns["_block"], source.host_counts)
+
+
+def bind_block(
+    tb: TranslatedBlock,
+    defs: Optional[Tuple[InstructionDef, ...]] = None,
+    tier_up=None,
+    after: int = 0,
+) -> CompiledBlock:
+    """Bind one translated block into its template form (no ``compile()``).
+
+    A path-uniform block gets :func:`_template_runner`, with *tier_up*
+    called on its *after*-th execution when given; any other block gets
+    the guarded form, which never tiers up.
+    """
+    defs = _block_defs(tb, defs)
+    if not tb.host:
+        raise ExecutionError("cannot compile an empty translated block")
+    bounds, exits = _run_graph(tb, defs)
+    host_counts = _path_counts(tb, bounds, exits)
+    runs = []
+    for (start, end), (pred, taken, fall) in zip(bounds, exits):
+        insns, dead = _run_insns(defs, start, end)
+        fns = tuple(
+            _bind_insn(tb.host[k], defs[k], dead.get(k, _NONE)) for k in insns
+        )
+        exit_fn = None if pred is None else _PRED_FN[pred]
+        runs.append((fns, exit_fn, _FELL if taken is None else taken, fall))
+    STATS.incr(jit_blocks_bound=1)
+    if host_counts is None:
+        step_counts = tuple(end - start for start, end in bounds)
+        run_counts = tuple(
+            tuple(sorted(_run_counts(tb, start, end).items()))
+            for start, end in bounds
+        )
+        execute = _guarded_runner(runs, step_counts, run_counts)
+        return CompiledBlock(tb, execute, ())
+    return CompiledBlock(tb, _template_runner(runs, tier_up, after), host_counts)
 
 
 def compile_block(
     tb: TranslatedBlock,
     defs: Optional[Tuple[InstructionDef, ...]] = None,
 ) -> CompiledBlock:
-    """Compile one translated block into specialized Python code."""
+    """Compile one translated block into its inline ``_block`` form.
+
+    A block without constant host counts has none; it gets the guarded
+    template form instead.
+    """
     defs = _block_defs(tb, defs)
-    return compile_block_source(tb, generate_block_source(tb, defs), defs)
+    try:
+        source = generate_block_source(tb, defs)
+    except _PathDependent:
+        return bind_block(tb, defs)
+    return compile_block_source(tb, source, defs)

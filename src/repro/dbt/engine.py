@@ -6,16 +6,22 @@ translations are cached), execute the translated host code, read the next
 guest PC from the environment, repeat until control reaches the halt
 address.
 
-Two execution backends share the code cache (``--backend`` on the CLI):
+Execution backends share the code cache (``--backend`` on the CLI):
 
 * ``interp`` — the per-instruction :class:`HostExecutor`.  Slow, simple,
   and the oracle every other backend is differentially tested against.
-* ``jit`` — :mod:`repro.dbt.compiler` lowers each translated block to
-  pre-bound Python closures (operands resolved at compile time, straight-
-  line runs fused, no accounting in the generated code: each block's
-  constant counts are multiplied by its execution count at run end).
-  With ``chaining=True`` hot block edges transfer directly between
-  compiled bodies without returning to this dispatch loop.
+* ``jit`` — :mod:`repro.dbt.compiler` binds each new block into its
+  template form: functions from per-shape templates, operands bound at
+  bind time, no ``compile()`` of its own.  A block tiers up to one
+  generated, compiled function (straight-line runs fused) on its
+  :data:`TIER_UP_EXECUTIONS`-th execution in a run, or on its first
+  execution in a later run of the same engine; the swap happens in place
+  on the :class:`CompiledBlock`.  Neither form counts anything: each
+  block's constant counts are multiplied by its execution count at run
+  end.  With ``chaining=True`` hot block edges transfer directly between
+  block bodies without returning to this dispatch loop.
+* ``trace`` — the jit block tier plus hot-cycle superblocks
+  (:mod:`repro.dbt.trace`).
 
 Each code-cache entry (:class:`CodeCacheEntry`) owns the translated block
 *and* its backend artifacts — decoded defs for interp, the compiled body
@@ -26,11 +32,12 @@ failure mode of the old ``id(tb)``-keyed defs cache in the executor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cache import STATS
 from repro.dbt.block import BlockMap
-from repro.dbt.compiler import CompiledBlock, compile_block
+from repro.dbt.compiler import CompiledBlock, bind_block, compile_block
 from repro.dbt.executor import BlockKernel, HostExecutor
 from repro.dbt.guest_interp import GuestInterpreter
 from repro.dbt.metrics import RunMetrics
@@ -52,6 +59,10 @@ DEFAULT_MAX_BLOCKS = 2_000_000
 
 #: Execution backends accepted by :class:`DBTEngine`.
 BACKENDS = ("interp", "jit", "trace")
+
+#: A jit block runs in template form until this execution within one run,
+#: then compiles to its inline form (chosen by a sweep, DESIGN §7.10).
+TIER_UP_EXECUTIONS = 1000
 
 
 @dataclass
@@ -164,6 +175,10 @@ class DBTEngine:
             code_cache if code_cache is not None else {}
         )
         self._chained_edges: set = set()
+        #: blocks bound into template form during the current run, each
+        #: with its template runner; :meth:`run` tiers up the ones still on
+        #: it at their first execution in the next run.
+        self._cold: List[Tuple[CodeCacheEntry, Callable]] = []
         #: trace-tier state (``backend="trace"``): edge profile, live
         #: superblocks by head index, and heads proven not traceable.
         self.trace_config = trace_config or TraceConfig()
@@ -201,9 +216,26 @@ class DBTEngine:
     def _compiled(self, entry: CodeCacheEntry) -> CompiledBlock:
         cb = entry.compiled
         if cb is None:
-            cb = compile_block(entry.tb, entry.kernel.defs)
+            cb = bind_block(
+                entry.tb,
+                entry.kernel.defs,
+                partial(_tier_up, entry, "jit_tierups_count"),
+                TIER_UP_EXECUTIONS,
+            )
             entry.compiled = cb
+            if cb.host_counts:  # the guarded form never tiers up
+                self._cold.append((entry, cb.execute))
         return cb
+
+    def _tier_up_reused(self) -> None:
+        """Template-form blocks from earlier runs compile on their first
+        execution in this one: a block that runs again is worth its
+        ``compile()``, and warm engines then run inline code only."""
+        for entry, runner in self._cold:
+            cb = entry.compiled
+            if cb.execute is runner:
+                cb.execute = partial(_tier_up, entry, "jit_tierups_reuse")
+        self._cold.clear()
 
     def run(
         self,
@@ -220,6 +252,7 @@ class DBTEngine:
         """
         state = state or _initial_state()
         metrics = RunMetrics(name=self.config.name)
+        self._tier_up_reused()
         entry_label = self.unit.func_labels.get(entry, entry)
         pc_index = self.unit.labels[entry_label]
         if self.backend == "trace":
@@ -661,11 +694,20 @@ class DBTEngine:
         return True
 
 
+def _tier_up(entry: CodeCacheEntry, stat: str, state, counts) -> None:
+    """Promote a template-form block to its inline form in place, then run
+    it: chain maps and the run's ``execs`` keep the same object."""
+    cb = entry.compiled
+    cb.execute = compile_block(entry.tb, entry.kernel.defs).execute
+    STATS.incr(**{stat: 1})
+    cb.execute(state, counts)
+
+
 def _fold_blocks(metrics: RunMetrics, execs: Dict[CompiledBlock, int]) -> None:
     """Add each block's constant per-execution counts times its executions.
 
-    Generated block code counts nothing (guarded blocks aside, whose
-    ``host_counts`` is empty because they count in code), so this is where
+    Block code counts nothing (guarded blocks aside, whose ``host_counts``
+    is empty because they count per run), so this is where
     a jit run's guest, covered, rule-hit and host-instruction totals come
     from.  A block that faulted never reached ``execs``.
     """

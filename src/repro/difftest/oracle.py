@@ -155,7 +155,10 @@ def run_oracle(
     ``backend`` selects the DBT execution engine under test.  The trace
     backend gets :meth:`TraceConfig.aggressive` settings — fuzzed programs
     are tiny, so production thresholds would never form a trace and the
-    campaign would silently test the block tier twice.
+    campaign would silently test the block tier twice.  A jit or trace
+    engine runs the program twice: cold blocks run in template form the
+    first time and as the inline code they tier up to the second, and
+    both runs are diffed against the reference.
     """
     unit = program if isinstance(program, CompiledUnit) else assemble_program(program)
     try:
@@ -168,10 +171,18 @@ def run_oracle(
         from repro.dbt.trace import TraceConfig
 
         engine_kwargs["trace_config"] = TraceConfig.aggressive()
+    ref_snapshot = reference.architectural_snapshot()
     try:
-        result = DBTEngine(unit, config, backend=backend, **engine_kwargs).run(
-            max_blocks=max_blocks
-        )
+        engine = DBTEngine(unit, config, backend=backend, **engine_kwargs)
+        result = engine.run(max_blocks=max_blocks)
+        divergence = diff_snapshots(ref_snapshot, result.architectural_snapshot())
+        if divergence is None and backend != "interp":
+            again = engine.run(max_blocks=max_blocks).architectural_snapshot()
+            divergence = diff_snapshots(ref_snapshot, again)
+            if divergence is not None:
+                divergence = Divergence(
+                    divergence.kind, f"{divergence.detail} (second run)"
+                )
     except ExecutionError as exc:
         return OracleOutcome(
             Divergence("dbt-error", str(exc)), None, ref_steps=reference.steps
@@ -183,9 +194,6 @@ def run_oracle(
             ref_steps=reference.steps,
         )
 
-    divergence = diff_snapshots(
-        reference.architectural_snapshot(), result.architectural_snapshot()
-    )
     return OracleOutcome(divergence, result.metrics, ref_steps=reference.steps)
 
 

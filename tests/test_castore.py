@@ -47,7 +47,7 @@ class _CodeTarget:
     def put(self, tag, which=0):
         self.cache.store(
             self._digest(which),
-            BlockSource(text=tag, step_counts=(1,), host_counts=()),
+            BlockSource(text=tag, host_counts=(("tcg", 1),)),
         )
 
     def get(self, which=0):
@@ -60,7 +60,7 @@ class _CodeTarget:
     def get_or_build(self, tag):
         return self.cache.get_or_build(
             self._digest(0),
-            lambda: BlockSource(text=tag, step_counts=(1,), host_counts=()),
+            lambda: BlockSource(text=tag, host_counts=(("tcg", 1),)),
         ).text
 
     def corrupt_count(self):

@@ -61,6 +61,7 @@ class TestCacheCli:
         )
         assert isinstance(payload["memos"], list)
         assert "derivations" in payload["process"]
+        assert "jit_tierups_count" in payload["process"]  # jit template tier
 
     def test_cache_clear(self, capsys):
         from repro.cache import disk_cache

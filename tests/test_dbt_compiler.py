@@ -3,20 +3,27 @@
 End-to-end backend equivalence is covered by ``tests/test_backend_difftest``;
 these tests pin the compiler's structural properties: run fusion, dead
 flag-store elision, resolved control flow, the forward-only, path-uniform
-count proof (``block_host_counts``) and its guarded fallback, operand fast
-paths, and error parity with the interpreter backend.
+count proof (``block_host_counts``) and its guarded fallback, the template
+form (per-shape factories) and its tier-up to inline code, operand
+fast paths, and error parity with the interpreter backend.
 """
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import STATS
+from repro.dbt import compiler
 from repro.dbt.compiler import (
     EXIT,
     CompiledBlock,
-    GuardedCompiledBlock,
+    _bind_insn,
     _emit_insn,
     _run_graph,
+    bind_block,
     block_host_counts,
     compile_block,
     generate_block_source,
@@ -26,7 +33,7 @@ from repro.dbt.runtime import DISPATCH_LABEL
 from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.operands import Imm, Label, Mem, OperandKind, Reg
 from repro.isa.x86.opcodes import X86
 from repro.semantics.state import ConcreteState
 from tests.strategies import X86_REGS as _X86_REGS
@@ -49,29 +56,53 @@ def _dispatch_jmp():
     return Instruction("jmp", (Label(DISPATCH_LABEL),))
 
 
+def _defs(tb):
+    return tuple(X86.defn(insn) for insn in tb.host)
+
+
+def _never(state, counts):
+    raise AssertionError("the guarded form never tiers up")
+
+
 def _execute_counted(cb, state, counts):
-    """Run *cb* once the way the engine does: generated code plus the
-    block's constant per-execution counts folded in."""
+    """Run *cb* once the way the engine does: its code plus the block's
+    constant per-execution counts folded in."""
     cb.execute(state, counts)
     for cat, weight in cb.host_counts:
         counts[cat] = counts.get(cat, 0) + weight
 
 
-def _run_both(tb, seed_regs=None):
-    """Execute *tb* under both backends; return (state, counts) of each."""
+#: The three ways a block runs: the interpreter oracle, the template form
+#: (every cold jit block) and the compiled inline ``_block`` form.
+_FORMS = ("interp", "template", "inline")
+
+
+def _run_form(form, tb, state, counts):
+    if form == "interp":
+        HostExecutor(state).run_block(tb, counts, BlockKernel(tb))
+    elif form == "template":
+        _execute_counted(bind_block(tb), state, counts)
+    else:
+        _execute_counted(compile_block(tb), state, counts)
+
+
+def _run_forms(tb, seed_regs=None):
+    """Execute *tb* in every form, check the template form against the
+    interpreter, and return the (state, counts) of interp and inline."""
     results = []
-    for backend in ("interp", "jit"):
+    for form in _FORMS:
         state = ConcreteState()
         state.reset_flags()
         for name, value in (seed_regs or {}).items():
             state.regs[name] = value
         counts = {}
-        if backend == "interp":
-            HostExecutor(state).run_block(tb, counts, BlockKernel(tb))
-        else:
-            _execute_counted(compile_block(tb), state, counts)
+        _run_form(form, tb, state, counts)
         results.append((state, counts))
-    return results
+    (istate, ic), (tstate, tc), _ = results
+    assert (istate.regs, istate.flags, istate.memory, ic) == (
+        tstate.regs, tstate.flags, tstate.memory, tc
+    ), "template form diverged from the interpreter"
+    return results[0], results[2]
 
 
 class TestRunFusion:
@@ -84,9 +115,10 @@ class TestRunFusion:
             ]
         )
         cb = compile_block(tb)
-        assert type(cb) is CompiledBlock  # forward-only: unguarded
+        assert type(cb) is CompiledBlock and cb.execute.__name__ == "_block"
         source = generate_block_source(tb)
-        assert source.step_counts == (3,)
+        assert _run_graph(tb, _defs(tb))[0] == [(0, 3)]
+        assert source.host_counts == (("tcg", 3),)
         assert source.text.count("def ") == 1
         assert "_n" not in source.text  # one run: no section guards
 
@@ -104,7 +136,7 @@ class TestRunFusion:
         )
         source = generate_block_source(tb)
         assert source.host_counts == (("tcg", 4),)  # either arm: 4 insns
-        assert source.step_counts == (2, 2, 2)
+        assert _run_graph(tb, _defs(tb))[0] == [(0, 2), (2, 4), (4, 6)]
         # One function; runs 1 and 2 are guarded sections in index order.
         text = source.text
         assert text.count("def ") == 1 and text.startswith("def _block(")
@@ -123,7 +155,7 @@ class TestRunFusion:
             ],
             categories=("rule", "rule", "control"),
         )
-        (_, interp_counts), (_, jit_counts) = _run_both(tb)
+        (_, interp_counts), (_, jit_counts) = _run_forms(tb)
         assert jit_counts == interp_counts
         assert jit_counts["rule"] == 1 + WEIGHTS["helper_clz"]
         assert jit_counts["control"] == 1  # the dispatch jmp is counted
@@ -143,7 +175,7 @@ class TestControlFlow:
             labels={"_taken": 4},
         )
         for r0, expect in ((5, 222), (6, 111)):
-            (istate, ic), (jstate, jc) = _run_both(tb, {"g_r0": r0})
+            (istate, ic), (jstate, jc) = _run_forms(tb, {"g_r0": r0})
             assert jstate.regs["g_r1"] == expect
             assert istate.regs == jstate.regs
             assert istate.flags == jstate.flags
@@ -151,7 +183,7 @@ class TestControlFlow:
 
     def test_backward_edge_uses_guarded_block(self):
         # Translated blocks are DAGs in practice; a synthetic backward edge
-        # must fall back to the guarded executor with the runaway guard.
+        # must fall back to the guarded template runner, runaway guard live.
         tb = _block(
             [
                 Instruction("addl", (Imm(1), Reg("g_r0"))),  # _top
@@ -160,13 +192,17 @@ class TestControlFlow:
             labels={"_top": 0},
         )
         assert block_host_counts(tb) is None  # no constant per execution
-        cb = compile_block(tb)
-        assert isinstance(cb, GuardedCompiledBlock) and cb.host_counts == ()
-        state = ConcreteState()
-        state.reset_flags()
-        state.regs["g_r0"] = 0
-        with pytest.raises(ExecutionError, match="runaway translated block"):
-            cb.execute(state, {})
+        with pytest.raises(ExecutionError, match="path-dependent"):
+            generate_block_source(tb)  # no inline form
+        for cb in (compile_block(tb), bind_block(tb, tier_up=_never, after=1)):
+            assert cb.host_counts == () and cb.execute.__name__ != "_block"
+            state = ConcreteState()
+            state.reset_flags()
+            state.regs["g_r0"] = 0
+            counts = {}
+            with pytest.raises(ExecutionError, match="runaway translated block"):
+                cb.execute(state, counts)
+            assert counts["tcg"] == 2 * state.regs["g_r0"] > 0  # per run
 
 
 class TestPathCounts:
@@ -187,14 +223,13 @@ class TestPathCounts:
             labels={"_taken": 4},
         )
         assert block_host_counts(tb) is None
-        source = generate_block_source(tb)
-        assert source.host_counts == ()
-        assert source.text.count("counts[") > 0  # counted in code, per run
-        cb = compile_block(tb)
-        assert isinstance(cb, GuardedCompiledBlock) and cb.host_counts == ()
+        with pytest.raises(ExecutionError, match="path-dependent"):
+            generate_block_source(tb)
+        cb = compile_block(tb)  # counted per run by the guarded runner
+        assert cb.host_counts == () and cb.execute.__name__ != "_block"
         seen = set()
         for r0 in (5, 6):
-            (istate, ic), (jstate, jc) = _run_both(tb, {"g_r0": r0, "g_r1": 0})
+            (istate, ic), (jstate, jc) = _run_forms(tb, {"g_r0": r0, "g_r1": 0})
             assert (istate.regs, istate.flags, ic) == (jstate.regs, jstate.flags, jc)
             seen.add(tuple(sorted(jc.items())))
         assert len(seen) == 2  # the two arms really count differently
@@ -220,7 +255,7 @@ class TestPathCounts:
         cb = compile_block(tb)
         assert type(cb) is CompiledBlock and cb.host_counts == source.host_counts
         for r0 in (5, 6):
-            (istate, ic), (jstate, jc) = _run_both(tb, {"g_r0": r0, "g_r1": 0})
+            (istate, ic), (jstate, jc) = _run_forms(tb, {"g_r0": r0, "g_r1": 0})
             assert (istate.regs, ic) == (jstate.regs, jc)
 
     def test_every_translated_block_is_forward_and_uniform(self):
@@ -272,7 +307,7 @@ class TestFlagLiveness:
         assert "regs['t0'] = (regs['t0'] + 3) & 0xFFFFFFFF" in add_part
         assert cmp_part.count("flags[") == 4  # the run's end reads them all
         for t0 in (0, 6, 0xFFFFFFFE):
-            (istate, ic), (jstate, jc) = _run_both(tb, {"t0": t0})
+            (istate, ic), (jstate, jc) = _run_forms(tb, {"t0": t0})
             assert (istate.regs, istate.flags, ic) == (jstate.regs, jstate.flags, jc)
 
     def test_flags_read_before_overwrite_stay_stored(self):
@@ -340,23 +375,196 @@ class TestCodegenProperty:
         flags=st.lists(st.integers(0, 1), min_size=4, max_size=4),
     )
     def test_jit_matches_interp_at_block_exit(self, tb, regs, flags):
+        """Interp, template form and inline form agree on regs, memory,
+        flags and weighted counts (or raise the same error)."""
         outcomes = []
-        for backend in ("interp", "jit"):
+        for form in _FORMS:
             state = ConcreteState()
             state.regs.update(zip(_X86_REGS, regs))
             state.regs["esp"] = 0x10000
             state.flags.update(zip("NZCV", flags))
             counts = {}
             try:
-                if backend == "interp":
-                    HostExecutor(state).run_block(tb, counts, BlockKernel(tb))
-                else:
-                    _execute_counted(compile_block(tb), state, counts)
+                _run_form(form, tb, state, counts)
             except ExecutionError as exc:
                 outcomes.append(("error", str(exc)))
                 continue
             outcomes.append((state.regs, state.memory, state.flags, counts))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# -- template table --------------------------------------------------------------
+
+_TABLE_REGS = ("eax", "ecx", "edx")
+_NO = frozenset()
+
+
+def _mem_variants():
+    """One memory operand per shape the emitters tell apart."""
+    return (
+        Mem(disp=0x1000),  # constant, word-aligned
+        Mem(disp=0x1002),  # constant, unaligned
+        Mem(base=Reg("ecx")),
+        Mem(base=Reg("ecx"), disp=-8),
+        Mem(base=Reg("ecx"), index=Reg("edx")),
+        Mem(base=Reg("ecx"), index=Reg("edx"), scale=4),
+        Mem(base=Reg("ecx"), index=Reg("edx"), scale=2, disp=12),
+        Mem(index=Reg("edx"), scale=8, disp=0x400),
+        Mem(index=Reg("edx")),
+    )
+
+
+def _operand_variants(kind, position):
+    if kind is OperandKind.REG:  # aliasing is the hypothesis property's job
+        return (Reg(_TABLE_REGS[position % 2]),)
+    if kind is OperandKind.IMM:
+        return (Imm(-3), Imm(33))
+    return _mem_variants()
+
+
+def _table_cases():
+    """(insn, defn, dead) for every x86 def x signature x operand shape x
+    subset of the flags it sets."""
+    for defn in X86.defs.values():
+        if defn.is_branch:
+            continue
+        flags = sorted(defn.flags_set)
+        subsets = [
+            frozenset(c) for r in range(len(flags) + 1)
+            for c in itertools.combinations(flags, r)
+        ]
+        for signature in defn.signatures:
+            for operands in itertools.product(
+                *(_operand_variants(kind, i) for i, kind in enumerate(signature))
+            ):
+                insn = Instruction(defn.mnemonic, operands)
+                for dead in subsets:
+                    yield insn, defn, dead
+
+
+def _inline(insn, defn, dead):
+    """The inline form's text for one instruction, as a function."""
+    out, ns = [], {}
+    _emit_insn(0, insn, defn, out, ns, dead)
+    text = "def _f(st, regs, mem, flags):\n" + "".join(
+        f"    {line}\n" for line in out
+    )
+    exec(text, ns)
+    return ns["_f"]
+
+
+def _random_states(rng, n):
+    """*n* random (regs, flags, memory) starting points."""
+    states = []
+    for _ in range(n):
+        regs = {
+            name: rng.choice(
+                (0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, rng.getrandbits(32))
+            )
+            for name in _TABLE_REGS
+        }
+        regs["ecx"] = rng.choice((regs["ecx"], 0x1000, 0x1003))  # near memory
+        regs["esp"] = 0x8000
+        flags = dict(zip("NZCV", (rng.getrandbits(1) for _ in range(4))))
+        memory = {word: rng.getrandbits(32) for word in range(0x400, 0x404)}
+        states.append((regs, flags, memory))
+    return states
+
+
+def _state(start):
+    regs, flags, memory = start
+    state = ConcreteState()
+    state.regs.update(regs)
+    state.flags.update(flags)
+    state.memory.update(memory)
+    return state
+
+
+def _outcome(fn, state):
+    try:
+        fn(state, state.regs, state.memory, state.flags)
+    except (ExecutionError, KeyError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (state.regs, state.memory, state.flags)
+
+
+class TestTemplateTable:
+    def test_bound_template_matches_inline_form(self):
+        starts = _random_states(random.Random(16), 25)
+        cases = 0
+        for insn, defn, dead in _table_cases():
+            inline = _inline(insn, defn, dead)
+            bound = _bind_insn(insn, defn, dead)
+            for start in starts:
+                expect = _outcome(inline, _state(start))
+                got = _outcome(bound, _state(start))
+                assert got == expect, (str(insn), sorted(dead))
+            cases += 1
+        assert cases > 3000
+
+    def test_factories_are_keyed_by_shape_not_constants(self, monkeypatch):
+        """Instructions differing only in registers, immediates or
+        displacements share one factory; a different dead set does not."""
+        factories = {}
+        monkeypatch.setattr(compiler, "_FACTORIES", factories)
+        defn = X86.defs["addl"]
+        shapes = STATS.jit_template_shapes
+        first = Instruction("addl", (Imm(7), Mem(base=Reg("eax"), disp=4)))
+        _bind_insn(first, defn, _NO)
+        same_shape = Instruction("addl", (Imm(9), Mem(base=Reg("ebx"), disp=64)))
+        _bind_insn(same_shape, defn, _NO)
+        assert len(factories) == 1
+        _bind_insn(same_shape, defn, frozenset({"V"}))
+        assert len(factories) == 2
+        _bind_insn(Instruction("addl", (Imm(9), Mem(base=Reg("ebx")))), defn, _NO)
+        assert len(factories) == 3  # zero displacement: a new shape
+        assert STATS.jit_template_shapes == shapes + 3
+
+
+class TestTierUp:
+    def _tb(self):
+        return _block(
+            [
+                Instruction("addl", (Imm(1), Reg("g_r0"))),
+                Instruction("cmpl", (Imm(3), Reg("g_r0"))),
+                Instruction("je", (Label("_three"),)),
+                Instruction("movl", (Imm(1), Reg("g_r2"))),
+                _dispatch_jmp(),
+                Instruction("movl", (Imm(99), Reg("g_r1"))),  # _three
+                _dispatch_jmp(),
+            ],
+            labels={"_three": 5},
+        )
+
+    def test_template_calls_tier_up_on_the_nth_execution(self):
+        tb = self._tb()
+        calls = []
+
+        def tier_up(state, counts):
+            calls.append(state.regs["g_r0"])
+            cb.execute = compile_block(tb).execute
+            cb.execute(state, counts)
+
+        cb = bind_block(tb, tier_up=tier_up, after=3)
+        assert cb.host_counts == block_host_counts(tb)
+        state = ConcreteState()
+        state.reset_flags()
+        state.regs.update(g_r0=0, g_r1=0)
+        for _ in range(5):
+            cb.execute(state, {})
+        assert calls == [2]  # the third call, before it ran
+        assert cb.execute.__name__ == "_block"
+        assert state.regs["g_r0"] == 5 and state.regs["g_r1"] == 99
+
+    def test_without_tier_up_the_template_form_stays(self):
+        cb = bind_block(self._tb())
+        state = ConcreteState()
+        state.reset_flags()
+        state.regs.update(g_r0=0, g_r1=0)
+        for _ in range(300):
+            cb.execute(state, {})
+        assert cb.execute.__name__ != "_block"
+        assert state.regs["g_r0"] == 300
 
 
 class TestOperandPaths:
@@ -371,7 +579,7 @@ class TestOperandPaths:
                 _dispatch_jmp(),
             ]
         )
-        (istate, _), (jstate, _) = _run_both(tb)
+        (istate, _), (jstate, _) = _run_forms(tb)
         assert jstate.regs["t1"] == 0xABCD
         assert istate.memory == jstate.memory
 
@@ -385,7 +593,7 @@ class TestOperandPaths:
                 _dispatch_jmp(),
             ]
         )
-        (istate, _), (jstate, _) = _run_both(tb)
+        (istate, _), (jstate, _) = _run_forms(tb)
         assert jstate.regs["t2"] == 0x11223344
         assert istate.memory == jstate.memory
 
@@ -400,7 +608,7 @@ class TestOperandPaths:
                 _dispatch_jmp(),
             ]
         )
-        (istate, _), (jstate, _) = _run_both(tb)
+        (istate, _), (jstate, _) = _run_forms(tb)
         assert jstate.regs["esp"] == 0x8000 - 4
         assert istate.memory == jstate.memory
 

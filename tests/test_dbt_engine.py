@@ -143,3 +143,61 @@ class TestEngineBehaviour:
         assert result.metrics.blocks_translated == 0
         assert result.architectural_snapshot() == expected.architectural_snapshot()
         assert result.metrics.host_counts == expected.metrics.host_counts
+
+
+class TestTemplateTier:
+    """Cold jit blocks run in template form and tier up to inline code."""
+
+    def _loop_unit(self):
+        from repro.dbt import unit_from_assembly
+        from repro.dbt.engine import TIER_UP_EXECUTIONS
+
+        return unit_from_assembly(
+            "fn_main:\n"
+            "  mov r0, #0\n"
+            "loop:\n"
+            "  add r0, r0, #1\n"
+            f"  cmp r0, #{2 * TIER_UP_EXECUTIONS}\n"
+            "  blt loop\n"
+            "  bx lr\n"
+        )
+
+    def test_cold_run_bumps_process_stats(self, monkeypatch):
+        from repro.cache import STATS, stats_payload
+        from repro.dbt import compiler
+        from repro.dbt.translator import TranslationConfig
+
+        monkeypatch.setattr(compiler, "_FACTORIES", {})  # every shape unseen
+        engine = DBTEngine(
+            self._loop_unit(), TranslationConfig("qemu"), chaining=True, backend="jit"
+        )
+        before = STATS.snapshot()
+        first = engine.run()
+        cold = STATS.delta(before)
+        blocks = first.metrics.blocks_translated
+        assert cold.jit_blocks_bound == blocks == len(engine.code_cache)
+        assert cold.jit_template_shapes > 0
+        assert cold.jit_tierups_count == 1  # the loop body, mid-run
+        assert cold.jit_tierups_reuse == 0
+        process = stats_payload(include_disk=False)["process"]
+        for key in (
+            "jit_blocks_bound",
+            "jit_tierups_count",
+            "jit_tierups_reuse",
+            "jit_template_shapes",
+        ):
+            assert process[key] >= getattr(cold, key)
+
+        before = STATS.snapshot()
+        again = engine.run()
+        warm = STATS.delta(before)
+        # Every other block tiers up on its first execution in the later
+        # run; nothing new is bound or shaped.
+        assert warm.jit_tierups_reuse == blocks - 1
+        assert warm.jit_blocks_bound == warm.jit_template_shapes == 0
+        assert all(
+            entry.compiled.execute.__name__ == "_block"
+            for entry in engine.code_cache.values()
+        )
+        assert again.architectural_snapshot() == first.architectural_snapshot()
+        assert again.metrics.host_counts == first.metrics.host_counts

@@ -35,8 +35,8 @@ def cache(tmp_path):
     return DiskCodeCache(tmp_path / "codecache")
 
 
-def _source(text: str = "def _run0(state):\n    return None\n") -> BlockSource:
-    return BlockSource(text=text, step_counts=(1,), host_counts=())
+def _source(text: str = "def _block(st, counts):\n    return None\n") -> BlockSource:
+    return BlockSource(text=text, host_counts=(("tcg", 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,6 @@ class TestBlockSource:
     def test_payload_roundtrip_through_json(self):
         fused = BlockSource(
             text="def _block(st, counts):\n    return\n",
-            step_counts=(2, 2, 2),
             host_counts=(("control", 3), ("rule", 5), ("tcg", 1)),
         )
         for source in (_source(), fused):
@@ -63,17 +62,17 @@ class TestBlockSource:
         "corrupt",
         [
             {},
-            {"text": 5, "step_counts": [1], "host_counts": []},
-            {"text": "x", "step_counts": "nope", "host_counts": []},
-            {"text": "x", "step_counts": [1, "two"], "host_counts": []},
-            {"text": "x", "step_counts": [1], "host_counts": "yes"},
+            {"text": 5, "host_counts": [["tcg", 1]]},
+            {"text": "x", "host_counts": [["tcg", 1.5]]},
+            {"text": "x", "host_counts": [["tcg", None]]},
+            {"text": "x", "host_counts": "yes"},
             # a block-v2 payload: no host_counts at all
             {"text": "x", "step_counts": [1], "forward_only": True},
-            {"text": "x", "step_counts": [1], "host_counts": [["tcg"]]},
-            {"text": "x", "step_counts": [1], "host_counts": [["tcg", 1, 2]]},
-            {"text": "x", "step_counts": [1], "host_counts": [["tcg", "4"]]},
-            {"text": "x", "step_counts": [1], "host_counts": [[4, 4]]},
-            {"text": "x", "step_counts": [1], "host_counts": {"tcg": 4}},
+            {"text": "x", "host_counts": [["tcg"]]},
+            {"text": "x", "host_counts": [["tcg", 1, 2]]},
+            {"text": "x", "host_counts": [["tcg", "4"]]},
+            {"text": "x", "host_counts": [[4, 4]]},
+            {"text": "x", "host_counts": {"tcg": 4}},
         ],
     )
     def test_bad_payload_shapes_raise(self, corrupt):
@@ -87,9 +86,36 @@ class TestBlockSource:
 
         class _Malformed:
             def to_payload(self):
-                return {"text": "x", "step_counts": [1], "host_counts": [["tcg"]]}
+                return {"text": "x", "host_counts": [["tcg"]]}
 
         assert cache.store(digest, _Malformed()) is True
+        path = cache.entry_path(digest)
+        assert cache.load(digest) is None
+        assert cache.stats()["corrupt"] == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "host_counts",
+        [
+            [],  # the guarded form had no constant; every block-v4 block has one
+            [["tcg", True]],  # isinstance(True, int), but not a count
+            [["rule", 3], ["tcg", False]],
+        ],
+        ids=["empty", "bool", "bool-after-int"],
+    )
+    def test_empty_or_boolean_host_counts_are_quarantined(self, cache, host_counts):
+        """A checksum-valid entry whose counts are empty or JSON booleans is
+        quarantined like any corrupt entry, never instantiated."""
+        digest = cache.key("unit", "condition", 0, "quick")
+
+        class _Bad:
+            def to_payload(self):
+                return {"text": "def _block(st, counts):\n    return\n",
+                        "host_counts": host_counts}
+
+        with pytest.raises(ValueError):
+            BlockSource.from_payload(_Bad().to_payload())
+        assert cache.store(digest, _Bad()) is True
         path = cache.entry_path(digest)
         assert cache.load(digest) is None
         assert cache.stats()["corrupt"] == 1
@@ -389,7 +415,7 @@ class TestSourceRoundtrip:
         cache = DiskCodeCache(tmp_path)
         stale_text = "def _block(st, counts):\n    raise AssertionError('stale')\n"
         stale_keys = []
-        for version in ("block-v1", "block-v2"):
+        for version in ("block-v1", "block-v2", "block-v3"):
             with monkeypatch.context() as patch:
                 patch.setattr(diskcode, "BLOCK_CODEGEN_VERSION", version)
                 stale = cache.key("demo", "condition", tb.start, "quick")

@@ -210,6 +210,7 @@ class TestServiceServer:
                 assert result["ruleset"]["rules"]["serving"] > 0
                 assert result["server"]["connections"] == 1
                 assert "process" in result["caches"]  # shared serializer payload
+                assert "jit_blocks_bound" in result["caches"]["process"]
                 writer.close()
             finally:
                 await server.aclose()
