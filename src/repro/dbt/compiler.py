@@ -40,8 +40,8 @@ machine code:
   instruction counts (:data:`repro.dbt.executor.WEIGHTS`).  That constant
   is ``CompiledBlock.host_counts``, and the engine multiplies it by the
   block's execution count once per run, as it already does for the guest
-  and rule counts.  A block whose paths count differently keeps in-code
-  counts in the guarded form below;
+  and rule counts.  A block whose paths count differently is counted
+  per instruction in the guarded form below;
 * **dead flag stores** — one backward scan per run over ``flags_set`` /
   ``flags_read`` finds host-flag stores that a later instruction of the
   same run overwrites before anything reads them, and leaves them out.
@@ -53,8 +53,8 @@ machine code:
   returns), and condition codes become inlined predicates over the flag
   file.  Translated blocks only branch forward, and every path through
   one counts alike; a block with a backward edge or path-dependent counts
-  has no inline form and runs on the template runner behind the
-  interpreter's runaway guard, counting per run (the guarded form);
+  has no inline form and is run by the interpreter itself, with its
+  runaway guard and per-instruction counts (the guarded form);
 * **block chaining** — each compiled block carries a ``chain`` map from
   successor guest-block index to the successor's compiled body; the
   engine's jit loop (:meth:`repro.dbt.engine.DBTEngine.run`) transfers
@@ -77,11 +77,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cache import STATS
 
-from repro.dbt.executor import _MAX_BLOCK_STEPS, WEIGHTS
+from repro.dbt.executor import WEIGHTS, BlockKernel, HostExecutor
 from repro.dbt.runtime import DISPATCH_LABEL
 from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
@@ -856,41 +857,11 @@ def _template_runner(runs, tier_up, after: int):
     return execute
 
 
-def _guarded_runner(runs, step_counts, run_counts):
-    """``execute`` of a block with a backward edge or path-dependent counts.
-
-    The template runner plus the interpreter's ``_MAX_BLOCK_STEPS``
-    runaway guard at run granularity, and each run adding its own weighted
-    counts to ``counts`` (such a block has no constant to fold).
-    """
-
-    def execute(st, counts):
-        regs = st.regs
-        mem = st.memory
-        flags = st.flags
-        ri = 0
-        steps = 0
-        try:
-            while True:
-                steps += step_counts[ri]
-                if steps > _MAX_BLOCK_STEPS:
-                    raise ExecutionError("runaway translated block")
-                fns, pred, taken, fall = runs[ri]
-                for fn in fns:
-                    fn(st, regs, mem, flags)
-                for cat, weight in run_counts[ri]:
-                    counts[cat] = counts.get(cat, 0) + weight
-                if pred is not None and not pred(flags):
-                    taken = fall
-                if taken < 0:
-                    if taken == EXIT:
-                        return
-                    raise ExecutionError(_FELL_MSG)
-                ri = taken
-        except KeyError as exc:
-            _uninit(exc)
-
-    return execute
+def _interpret(tb: TranslatedBlock, kernel: BlockKernel, st, counts) -> None:
+    """``execute`` of a block with a backward edge or path-dependent counts:
+    the interpreter itself, with its runaway guard and per-instruction
+    counts (such a block has no constant to fold)."""
+    HostExecutor(st).run_block(tb, counts, kernel)
 
 
 class CompiledBlock:
@@ -913,8 +884,9 @@ class CompiledBlock:
     (:func:`block_host_counts`), which the engine multiplies by the
     block's execution count when the run ends.  The exception is the
     guarded form, for a block with a backward edge or path-dependent
-    counts: its template runner keeps the interpreter's runaway guard and
-    counts per run, ``host_counts`` is empty, and it never tiers up.
+    counts: it runs on the interpreter (:func:`_interpret`), which keeps
+    its runaway guard and counts per instruction, ``host_counts`` is
+    empty, and it never tiers up.
 
     ``chain`` maps a successor guest-block index to the successor's
     ``CompiledBlock``; the engine populates it the first time an edge is
@@ -1023,7 +995,7 @@ def generate_block_source(
     sound — any worker's generation is interchangeable with any other's.
     Fires the compile listeners (this is the "work happened" event the
     single-flight proofs count).  A block without constant host counts has
-    no source form (:func:`compile_block` binds it into the guarded form).
+    no source form (:func:`compile_block` gives it the guarded form).
     """
     defs = _block_defs(tb, defs)
     if not tb.host:
@@ -1084,6 +1056,8 @@ def bind_block(
         raise ExecutionError("cannot compile an empty translated block")
     bounds, exits = _run_graph(tb, defs)
     host_counts = _path_counts(tb, bounds, exits)
+    if host_counts is None:
+        return CompiledBlock(tb, partial(_interpret, tb, BlockKernel(tb)), ())
     runs = []
     for (start, end), (pred, taken, fall) in zip(bounds, exits):
         insns, dead = _run_insns(defs, start, end)
@@ -1093,14 +1067,6 @@ def bind_block(
         exit_fn = None if pred is None else _PRED_FN[pred]
         runs.append((fns, exit_fn, _FELL if taken is None else taken, fall))
     STATS.incr(jit_blocks_bound=1)
-    if host_counts is None:
-        step_counts = tuple(end - start for start, end in bounds)
-        run_counts = tuple(
-            tuple(sorted(_run_counts(tb, start, end).items()))
-            for start, end in bounds
-        )
-        execute = _guarded_runner(runs, step_counts, run_counts)
-        return CompiledBlock(tb, execute, ())
     return CompiledBlock(tb, _template_runner(runs, tier_up, after), host_counts)
 
 
@@ -1111,7 +1077,7 @@ def compile_block(
     """Compile one translated block into its inline ``_block`` form.
 
     A block without constant host counts has none; it gets the guarded
-    template form instead.
+    form instead.
     """
     defs = _block_defs(tb, defs)
     try:

@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cache import BoundedMemo, stats_payload
 from repro.dbt.compiler import (
+    block_host_counts,
     compile_block,
     compile_block_source,
     generate_block_source,
@@ -418,7 +419,8 @@ class TranslationService:
         translator = ctx.translator_for(stage, config)
         tb = translator.translate(ctx.blockmap.block_at(start))
         kernel = BlockKernel(tb)
-        if self.disk_code is None:
+        if self.disk_code is None or block_host_counts(tb, kernel.defs) is None:
+            # no disk cache, or the guarded form: it has no source to share
             compiled = compile_block(tb, kernel.defs)
         else:
             compiled = self._compile_via_disk(gen, ctx, stage, start, tb, kernel)

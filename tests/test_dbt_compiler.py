@@ -183,7 +183,8 @@ class TestControlFlow:
 
     def test_backward_edge_uses_guarded_block(self):
         # Translated blocks are DAGs in practice; a synthetic backward edge
-        # must fall back to the guarded template runner, runaway guard live.
+        # must fall back to the guarded form (the interpreter), runaway
+        # guard live.
         tb = _block(
             [
                 Instruction("addl", (Imm(1), Reg("g_r0"))),  # _top
@@ -194,15 +195,23 @@ class TestControlFlow:
         assert block_host_counts(tb) is None  # no constant per execution
         with pytest.raises(ExecutionError, match="path-dependent"):
             generate_block_source(tb)  # no inline form
+
+        def interp(st, counts):
+            HostExecutor(st).run_block(tb, counts)
+
         for cb in (compile_block(tb), bind_block(tb, tier_up=_never, after=1)):
-            assert cb.host_counts == () and cb.execute.__name__ != "_block"
-            state = ConcreteState()
-            state.reset_flags()
-            state.regs["g_r0"] = 0
-            counts = {}
-            with pytest.raises(ExecutionError, match="runaway translated block"):
-                cb.execute(state, counts)
-            assert counts["tcg"] == 2 * state.regs["g_r0"] > 0  # per run
+            assert cb.host_counts == () and cb.execute.func is compiler._interpret
+            outcomes = []
+            for execute in (cb.execute, interp):
+                state = ConcreteState()
+                state.reset_flags()
+                state.regs["g_r0"] = 0
+                counts = {}
+                with pytest.raises(ExecutionError, match="runaway translated block"):
+                    execute(state, counts)
+                outcomes.append((state.regs, state.flags, counts))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][2]["tcg"] > 0  # counted up to the guard
 
 
 class TestPathCounts:
@@ -225,8 +234,8 @@ class TestPathCounts:
         assert block_host_counts(tb) is None
         with pytest.raises(ExecutionError, match="path-dependent"):
             generate_block_source(tb)
-        cb = compile_block(tb)  # counted per run by the guarded runner
-        assert cb.host_counts == () and cb.execute.__name__ != "_block"
+        cb = compile_block(tb)  # counted per instruction by the interpreter
+        assert cb.host_counts == () and cb.execute.func is compiler._interpret
         seen = set()
         for r0 in (5, 6):
             (istate, ic), (jstate, jc) = _run_forms(tb, {"g_r0": r0, "g_r1": 0})

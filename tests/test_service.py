@@ -490,6 +490,61 @@ class TestServiceServer:
         assert response["result"]["snapshot"]["regs"]["r0"] == 12
 
 
+class TestDiskCodePath:
+    def test_path_dependent_block_compiles_without_the_disk_cache(
+        self, service_setup, tmp_path
+    ):
+        """A block with no inline form (backward edge) gets the guarded
+        form with a disk code cache configured too, and publishes nothing."""
+        from repro.dbt.executor import HostExecutor
+        from repro.dbt.runtime import DISPATCH_LABEL
+        from repro.dbt.translator import TranslatedBlock
+        from repro.isa.instruction import Instruction
+        from repro.isa.operands import Imm, Label, Reg
+        from repro.semantics.state import ConcreteState
+
+        host = (
+            Instruction("addl", (Imm(1), Reg("g_r0"))),  # _top
+            Instruction("cmpl", (Imm(3), Reg("g_r0"))),
+            Instruction("jne", (Label("_top"),)),
+            Instruction("jmp", (Label(DISPATCH_LABEL),)),
+        )
+        tb = TranslatedBlock(
+            start=0,
+            guest_count=1,
+            host=host,
+            categories=("tcg",) * len(host),
+            labels={"_top": 0},
+            covered=(False,),
+        )
+
+        class _Translator:
+            def translate(self, block):
+                return tb
+
+        service = TranslationService(
+            ServiceConfig(disk_code_dir=str(tmp_path)), setup=service_setup
+        )
+        gen = service._generation
+        ctx = service._build_context("program", ("mov r0, #7", "bx lr"))
+        ctx._translators["condition"] = _Translator()
+        entry = service._compile_entry(gen, ctx, "condition", ctx.blockmap.blocks[0].start)
+        assert entry.compiled.host_counts == ()
+        outcomes = []
+        for execute in (
+            entry.compiled.execute,
+            lambda st, counts: HostExecutor(st).run_block(tb, counts),
+        ):
+            state = ConcreteState()
+            state.reset_flags()
+            state.regs["g_r0"] = 0
+            counts = {}
+            execute(state, counts)
+            outcomes.append((state.regs, counts))
+        assert outcomes[0] == outcomes[1] == ({"g_r0": 3}, {"tcg": 10})
+        assert service.disk_code.entry_count() == 0
+
+
 # ---------------------------------------------------------------------------
 # loadgen (in-process, short)
 
