@@ -8,7 +8,6 @@ Usage::
     repro suite                     # workload suite summary
     repro rules [--benchmark NAME] [--out FILE]   # learn + dump rules
     repro translate NAME [--stage condition] [--backend jit]  # one DBT run
-    repro bench [--quick] [--check]               # backend benchmark harness
     repro cache stats [--json]      # on-disk pipeline cache overview
     repro cache clear               # drop disk + in-memory caches
     repro serve [--port 9477]       # translation-as-a-service TCP server
@@ -19,6 +18,9 @@ Every experiment prints the same rows the paper reports, with a note giving
 the paper's numbers for comparison.  ``--jobs N`` (0 = all CPUs) fans the
 expensive phases — target derivation and the leave-one-out sweep — out over
 worker processes; results are byte-identical to ``--jobs 1``.
+
+Performance is measured by the repository benchmark, ``perfbench/run.py``
+(workloads and bounds in ``BENCHMARK.json``), not by a subcommand here.
 """
 
 from __future__ import annotations
@@ -237,100 +239,6 @@ def _cmd_translate(args) -> int:
     print(f"blocks translated  : {metrics.blocks_translated}")
     print(f"block executions   : {metrics.block_executions}")
     print(f"simulated cost     : {metrics.cost():.0f}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    """Benchmark the execution backends and write ``BENCH_dbt.json``."""
-    if args.offline:
-        return _cmd_bench_offline(args)
-    if args.service:
-        return _cmd_bench_service(args)
-    from repro.bench import check_report, render_report, run_bench, write_report
-
-    configs = None
-    if args.configs:
-        configs = [part.strip() for part in args.configs.split(",") if part.strip()]
-    log = None if args.quiet else (lambda message: print(f"# {message}"))
-    baseline = _load_baseline(args.out) if args.check else None
-    try:
-        payload = run_bench(
-            repeats=args.repeats, quick=args.quick, log=log, configs=configs
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(payload))
-    write_report(payload, args.out)
-    print(f"report: {args.out}")
-    if args.check:
-        ok, message = check_report(payload, baseline=baseline)
-        print(f"check: {message}")
-        return 0 if ok else 1
-    return 0
-
-
-def _load_baseline(path: str):
-    """The previous on-disk bench report, for regression gating (or None)."""
-    import json
-    import os
-
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def _cmd_bench_offline(args) -> int:
-    """Benchmark the offline pipeline and write ``BENCH_offline.json``."""
-    from repro.bench_offline import (
-        check_offline_report,
-        render_offline_report,
-        run_offline_bench,
-        write_offline_report,
-    )
-
-    log = None if args.quiet else (lambda message: print(f"# {message}"))
-    payload = run_offline_bench(repeats=args.repeats, quick=args.quick, log=log)
-    print(render_offline_report(payload))
-    out = args.out if args.out != "BENCH_dbt.json" else "BENCH_offline.json"
-    write_offline_report(payload, out)
-    print(f"report: {out}")
-    if args.check:
-        ok, message = check_offline_report(payload)
-        print(f"check: {message}")
-        return 0 if ok else 1
-    return 0
-
-
-def _cmd_bench_service(args) -> int:
-    """Per-worker-count saturation curves; writes ``BENCH_service.json``."""
-    from repro.bench import (
-        check_service_report,
-        render_service_report,
-        run_service_bench,
-        write_report,
-    )
-
-    log = None if args.quiet else (lambda message: print(f"# {message}"))
-    if args.quick:
-        workers, clients, duration = (1, 2), (1, 2, 4), 1.5
-    else:
-        workers, clients, duration = (1, 2, 4, 8), (1, 2, 4, 8, 16), 3.0
-    payload = run_service_bench(
-        workers=workers, clients=clients, duration=duration, log=log
-    )
-    print(render_service_report(payload))
-    out = args.out if args.out != "BENCH_dbt.json" else "BENCH_service.json"
-    write_report(payload, out)
-    print(f"report: {out}")
-    if args.check:
-        ok, message = check_service_report(payload)
-        print(f"check: {message}")
-        return 0 if ok else 1
     return 0
 
 
@@ -589,36 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="execution backend (interp is the oracle)")
     _add_jobs(translate)
     translate.set_defaults(fn=_cmd_translate)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the execution backends (writes BENCH_dbt.json)"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="3-benchmark subset, cheap training rules (CI)")
-    bench.add_argument("--service", action="store_true",
-                       help="serving saturation bench: boot pools at each "
-                            "worker count and sweep client concurrency "
-                            "(writes BENCH_service.json)")
-    bench.add_argument("--offline", action="store_true",
-                       help="benchmark the offline learn/derive pipeline "
-                            "instead (writes BENCH_offline.json)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="warm repetitions per configuration (min is kept)")
-    bench.add_argument("--configs", default=None, metavar="KEY,KEY,...",
-                       help="run only these configurations (subset of "
-                            "interp,interp+chain,jit,jit+chain,jit+trace; "
-                            "default: the full grid)")
-    bench.add_argument("--out", default="BENCH_dbt.json",
-                       help="report path (default BENCH_dbt.json, or "
-                            "BENCH_offline.json with --offline)")
-    bench.add_argument("--check", action="store_true",
-                       help="exit nonzero unless jit beats interp and "
-                            "translate time has not regressed vs the prior "
-                            "on-disk report (or, with --offline, unless "
-                            "batched == direct)")
-    bench.add_argument("--quiet", action="store_true",
-                       help="suppress progress lines")
-    bench.set_defaults(fn=_cmd_bench)
 
     difftest = sub.add_parser(
         "difftest", help="coverage-guided differential fuzzing of the DBT"

@@ -23,17 +23,23 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
 import random
+import subprocess
 import time
 from dataclasses import asdict, dataclass, field
+from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.service import protocol
 from repro.service.stats import EndpointStats, LatencyHistogram
 
-#: benchmarks driven by default (small, distinct control-flow shapes — the
-#: same subset ``repro bench --quick`` uses).
+#: benchmarks driven by default (small, with distinct control-flow shapes).
 DEFAULT_BENCHMARKS: Tuple[str, ...] = ("mcf", "libquantum", "astar")
+
+#: Schema stamp of a report's ``meta`` block; bump when the report's
+#: structure changes incompatibly.
+REPORT_SCHEMA_VERSION = 1
 
 #: (request kind, weight) — the traffic mix.
 MIX: Tuple[Tuple[str, int], ...] = (
@@ -537,10 +543,55 @@ def check_sweep_report(payload: Dict[str, Any]) -> Tuple[bool, str]:
     )
 
 
-def write_loadgen_report(payload: Dict[str, Any], path: str) -> None:
-    from repro.bench import write_json_report
+def _commit_hash() -> str:
+    """Current git commit, or ``"unknown"`` outside a work tree."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    if proc.returncode != 0:
+        return "unknown"
+    return proc.stdout.strip() or "unknown"
 
-    write_json_report(payload, path)
+
+def write_loadgen_report(payload: Dict[str, Any], path: str) -> None:
+    """Write a load or sweep report, stamping a ``meta`` block into it.
+
+    The meta block carries the report schema version, the git commit, a
+    UTC timestamp and the CPU count the numbers were measured on.  Reports
+    that captured the server's ``stats`` also get the serving ruleset's
+    version and digest, so a report is attributable to the exact ruleset
+    artifact it measured.  An explicit caller-supplied ``meta`` is never
+    touched.
+    """
+    payload = dict(payload)
+    if "meta" not in payload:
+        meta: Dict[str, Any] = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "commit": _commit_hash(),
+            "created_utc": datetime.now(timezone.utc).isoformat(
+                timespec="seconds"
+            ),
+            # Throughput numbers are meaningless without the core count
+            # they were measured on (a 1-core box cannot show pool speedup).
+            "cpu_count": os.cpu_count() or 1,
+        }
+        server_stats = payload.get("server_stats")
+        if isinstance(server_stats, dict):
+            ruleset = server_stats.get("ruleset")
+            if isinstance(ruleset, dict):
+                meta["ruleset_version"] = ruleset.get("version")
+                meta["ruleset_digest"] = ruleset.get("digest")
+        payload["meta"] = meta
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def render_loadgen_report(payload: Dict[str, Any]) -> str:

@@ -34,7 +34,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import perfopts
 from repro.cache import MISS, BoundedMemo
 from repro.errors import VerificationError
 from repro.isa.flags import FLAG_NAMES
@@ -206,36 +205,19 @@ def check_equivalence(
             reason="host uses scratch registers beyond the one-to-one mapping",
         )
 
-    wanted = guest_set_flags(guest_isa, guest_insns)
-    if perfopts.optimized():
-        # Shape-class layer: canonicalize register names, run the mapping
-        # search once per canonical shape, rebase the verdict per member
-        # (with a seeded direct-verification cross-check on served hits).
-        return shapeclass.check_shape_class(
-            guest_isa,
-            host_isa,
-            guest_insns,
-            host_insns,
-            guest_regs,
-            host_regs,
-            wanted,
-            search=_search_mappings_fast,
-        )
-
-    best: Optional[CheckResult] = None
-    for mapping in _candidate_mappings(guest_regs, host_regs):
-        result = _check_with_mapping(
-            guest_isa, host_isa, guest_insns, host_insns, mapping, wanted
-        )
-        if result is None:
-            continue
-        if result.equivalent:
-            return result
-        if best is None or len(result.mismatched_flags) < len(best.mismatched_flags):
-            best = result
-    if best is not None:
-        return best
-    return CheckResult(False, reason="no operand mapping satisfies dataflow equivalence")
+    # Shape-class layer: canonicalize register names, run the mapping
+    # search once per canonical shape, rebase the verdict per member (with a
+    # seeded direct-verification cross-check on served hits).
+    return shapeclass.check_shape_class(
+        guest_isa,
+        host_isa,
+        guest_insns,
+        host_insns,
+        guest_regs,
+        host_regs,
+        guest_set_flags(guest_isa, guest_insns),
+        search=_search_mappings,
+    )
 
 
 _NO_MAPPING = CheckResult(
@@ -303,7 +285,7 @@ def _probe_host(host_isa, host_insns, flag_inputs):
     return None if signature is _RUN_FAILED else signature
 
 
-def _search_mappings_fast(
+def _search_mappings(
     guest_isa,
     host_isa,
     guest_insns: Tuple[Instruction, ...],
@@ -312,29 +294,36 @@ def _search_mappings_fast(
     host_regs: List[str],
     wanted_flags: frozenset,
 ) -> CheckResult:
-    """Mapping search with the guest run hoisted and a host probe pruning.
+    """Search the candidate mappings for one that proves equivalence.
 
-    Result-identical to the legacy per-mapping loop, by construction:
+    The reference semantics is the plain per-mapping check: for each
+    mapping from :func:`_candidate_mappings`, run guest and host from a
+    fresh shared load oracle and compare the final states
+    (:func:`_compare_states`).  This search returns the same result with
+    less work:
 
     * The guest's symbolic run never depends on the candidate mapping —
       every mapping binds ``guest_regs[i]`` to ``Sym("v{i}")`` — so it is
       run **once** here; the shared load oracle it populates is snapshot-
-      copied for each host attempt, exactly reproducing the fresh-oracle-
-      per-mapping behaviour of the legacy loop.
+      copied for each host attempt, which is exactly a fresh oracle per
+      mapping.
     * The host is run once as an unbound *probe*.  Its raised-or-not
       status, lazy-read set, and written-register set are invariant under
       the injective symbol renaming that binding a mapping performs (the
       store-buffer address resolution the run depends on compares
       canonical forms, and injective renaming preserves both their
       equality and inequality), so the probe's register signature decides,
-      per candidate mapping, checks the legacy loop could only make after
-      a full host run: a temp register that is read before written, or a
+      per candidate mapping, checks that would otherwise need a full host
+      run: a temp register that is read before written, or a
       mapped-but-unwritten host register whose guest counterpart computes
       a different value.  Mappings failing those checks are skipped
       without a host run — but still consumed from the same capped
       candidate stream, so the set of mappings *considered* is unchanged.
-    * Surviving mappings get the full legacy check body against the
-      hoisted guest state.
+    * Surviving mappings get the full comparison against the hoisted guest
+      state.
+
+    ``tests/test_derived_rules_snapshot.py`` pins the learned and derived
+    rules this search produces over the whole benchmark suite.
     """
     guest_state = _run_guest(guest_isa, guest_insns, guest_regs)
     if guest_state is None:
@@ -426,42 +415,6 @@ def _check_host_against(
         _HOST_RUN_MEMO.put(key, host_state)
     if host_state is _RUN_FAILED:
         return None
-    return _compare_states(
-        guest_state, host_state, host_insns, mapping, flag_inputs, wanted_flags
-    )
-
-
-def _check_with_mapping(
-    guest_isa,
-    host_isa,
-    guest_insns: Tuple[Instruction, ...],
-    host_insns: Tuple[Instruction, ...],
-    mapping: Dict[str, str],
-    wanted_flags: frozenset,
-) -> Optional[CheckResult]:
-    """Check one register mapping; None means "this mapping does not work"."""
-    load_oracle: Dict = {}
-    guest_state = SymbolicState("g", load_oracle=load_oracle)
-    host_state = SymbolicState("h", load_oracle=load_oracle)
-
-    for i, (guest_reg, host_reg) in enumerate(mapping.items()):
-        shared = Sym(f"v{i}", 32)
-        guest_state.bind_reg(guest_reg, shared)
-        host_state.bind_reg(host_reg, shared)
-    flag_inputs = {}
-    for flag in FLAG_NAMES:
-        shared = Sym(f"F{flag}", 1)
-        flag_inputs[flag] = shared
-        guest_state.bind_flag(flag, shared)
-        host_state.bind_flag(flag, shared)
-
-    try:
-        run_symbolic(guest_isa, guest_insns, guest_state)
-        run_symbolic(host_isa, host_insns, host_state)
-    except VerificationError:
-        return None
-    if guest_state.lazy_reads:
-        return None  # guest read a register outside the collected operands
     return _compare_states(
         guest_state, host_state, host_insns, mapping, flag_inputs, wanted_flags
     )

@@ -3,9 +3,10 @@
 No SMT solver is available offline, so equivalence is decided by:
 
 1. canonical simplification to syntactic equality (sound accept);
-2. evaluation over the cross product of boundary values when the combined
-   free-symbol count is small (sound *reject*, near-exhaustive accept);
-3. randomized evaluation over many full-width samples (sound reject,
+2. evaluation over the cross product of 13 boundary values per free symbol
+   when it fits in 4,096 assignments, or 4,096 sampled boundary rows
+   otherwise (sound *reject*, near-exhaustive accept for small products);
+3. randomized evaluation over 160 full-width vectors (sound reject,
    probabilistic accept).
 
 This matches the trust model of testing-based translation validation; the
@@ -19,20 +20,18 @@ mapping search in :mod:`repro.verify.checker` re-compares the same
 guest/host value expressions across many candidate mappings and shape-class
 representatives.  Sampling lowers each compared pair to one compiled row
 scanner (:func:`repro.symir.rowcompile.pair_evaluator`), so an assignment
-costs straight-line bytecode rather than per-node interpretation.  Both
-paths are bypassed in legacy mode (:mod:`repro.perfopts`) so the offline
-benchmark can time the plain algorithm.
+costs straight-line bytecode rather than per-node interpretation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import zlib
 from typing import Iterable, Sequence, Tuple
 
-from repro import perfopts
 from repro.cache import MISS, BoundedMemo
-from repro.symir import Expr, evaluate, free_symbols, simplify
+from repro.symir import Expr, free_symbols, simplify
 from repro.symir.rowcompile import pair_evaluator
 
 #: Boundary values every symbol is exercised with.
@@ -57,36 +56,9 @@ _MAX_EXHAUSTIVE_ASSIGNMENTS = 4096
 
 #: Verdict memo keyed ``(lhs, rhs, seed)`` on interned nodes; sound because
 #: the verdict is a pure function of the pair (the sampling rng is seeded
-#: from the pair's reprs) and interning makes structurally equal keys
+#: by :func:`_sample_seed`) and interning makes structurally equal keys
 #: identical.
 _EQUAL_MEMO = BoundedMemo(maxsize=65536, name="verify.exprs_equal")
-
-
-def _assignments(symbols: Sequence, seed: int) -> Iterable[dict]:
-    """Yield test assignments: boundary cross product (capped) + random."""
-    names = [s.name for s in symbols]
-    widths = {s.name: s.width for s in symbols}
-
-    def clip(env: dict) -> dict:
-        return {
-            name: value & ((1 << widths[name]) - 1) for name, value in env.items()
-        }
-
-    if names:
-        total = len(BOUNDARY_VALUES) ** len(names)
-        if total <= _MAX_EXHAUSTIVE_ASSIGNMENTS:
-            for combo in itertools.product(BOUNDARY_VALUES, repeat=len(names)):
-                yield clip(dict(zip(names, combo)))
-        else:
-            rng = random.Random(seed ^ 0x5EED)
-            for _ in range(_MAX_EXHAUSTIVE_ASSIGNMENTS):
-                yield clip({name: rng.choice(BOUNDARY_VALUES) for name in names})
-
-    rng = random.Random(seed)
-    for _ in range(RANDOM_SAMPLES):
-        yield clip({name: rng.getrandbits(32) for name in names})
-    if not names:
-        yield {}
 
 
 #: Materialized boundary-value cross products keyed by the masks tuple —
@@ -109,11 +81,12 @@ def _boundary_rows(masks: Tuple[int, ...]) -> list:
 def _assignment_rows(
     names: Sequence[str], masks: Sequence[int], seed: int
 ) -> Iterable[tuple]:
-    """The :func:`_assignments` stream as value tuples in *names* order.
+    """Test assignments as value tuples in *names* order.
 
-    Yields exactly the same values in exactly the same order (including the
-    order of rng draws within each assignment), so verdicts derived from
-    either stream are interchangeable.
+    The boundary-value cross product when it fits in
+    ``_MAX_EXHAUSTIVE_ASSIGNMENTS`` rows (that many sampled boundary rows
+    otherwise), then ``RANDOM_SAMPLES`` random full-width vectors; each
+    value is masked to its symbol's width.
     """
     if names:
         total = len(BOUNDARY_VALUES) ** len(names)
@@ -132,14 +105,10 @@ def _assignment_rows(
 
 
 def _first_difference(lhs: Expr, rhs: Expr, seed: int) -> dict | None:
-    """First assignment (in :func:`_assignments` order) distinguishing the
-    two expressions, or ``None``.  *lhs*/*rhs* must already be simplified."""
+    """First assignment (in :func:`_assignment_rows` order) distinguishing
+    the two expressions, or ``None``.  *lhs*/*rhs* must already be
+    simplified."""
     symbols = list(dict.fromkeys(free_symbols(lhs) + free_symbols(rhs)))
-    if not perfopts.optimized():
-        for env in _assignments(symbols, seed):
-            if evaluate(lhs, env) != evaluate(rhs, env):
-                return env
-        return None
     # Compiled row evaluation: the pair is lowered once to a generated
     # Python function over value rows (shared subterms computed once per
     # row), so an assignment costs a single pass of straight-line bytecode
@@ -156,34 +125,14 @@ def _first_difference(lhs: Expr, rhs: Expr, seed: int) -> dict | None:
     return dict(zip(names, row))
 
 
-def _plain_repr(expr: Expr) -> str:
-    """Recompute an expression's repr without the per-node cache.
+def _sample_seed(lhs: Expr, rhs: Expr, seed: int) -> int:
+    """The sampling seed for a simplified pair.
 
-    Legacy mode exists to time the plain algorithm, and the plain algorithm
-    re-walked the tree on every ``repr`` call; reading the repr cached by the
-    interned node would understate its cost.  The string produced is
-    identical to ``repr(expr)``.
+    ``zlib.crc32`` of the two reprs, not ``hash``: string hashing is
+    randomized per process, and the verdict (memoized here and cached on
+    disk with derived rules) must be the same in every process.
     """
-    from repro.symir.expr import BinOp, Const, Ite, Sym, UnOp, Extract, ZeroExt
-
-    if isinstance(expr, Const):
-        return f"0x{expr.value:x}:{expr.width}"
-    if isinstance(expr, Sym):
-        return f"{expr.name}:{expr.width}"
-    if isinstance(expr, BinOp):
-        return f"({expr.op} {_plain_repr(expr.lhs)} {_plain_repr(expr.rhs)})"
-    if isinstance(expr, UnOp):
-        return f"({expr.op} {_plain_repr(expr.operand)})"
-    if isinstance(expr, Ite):
-        return (
-            f"(ite {_plain_repr(expr.cond)} {_plain_repr(expr.then)} "
-            f"{_plain_repr(expr.orelse)})"
-        )
-    if isinstance(expr, Extract):
-        return f"(extract {_plain_repr(expr.operand)} [{expr.lo}+:{expr.width}])"
-    if isinstance(expr, ZeroExt):
-        return f"(zext {_plain_repr(expr.operand)} -> {expr.width})"
-    raise TypeError(f"unknown expression node: {expr!r}")
+    return seed ^ zlib.crc32(f"{lhs!r}|{rhs!r}".encode())
 
 
 def exprs_equal(lhs: Expr, rhs: Expr, seed: int = 0) -> bool:
@@ -193,16 +142,6 @@ def exprs_equal(lhs: Expr, rhs: Expr, seed: int = 0) -> bool:
     definitive when reached by syntactic equality and high-confidence
     otherwise.
     """
-    if not perfopts.optimized():
-        lhs = simplify(lhs, {})
-        rhs = simplify(rhs, {})
-        if lhs == rhs:
-            return True
-        if lhs.width != rhs.width:
-            return False
-        mix = seed ^ (hash((_plain_repr(lhs), _plain_repr(rhs))) & 0xFFFFFFFF)
-        return _first_difference(lhs, rhs, mix) is None
-
     key = (lhs, rhs, seed)
     verdict = _EQUAL_MEMO.get(key)
     if verdict is not MISS:
@@ -214,7 +153,7 @@ def exprs_equal(lhs: Expr, rhs: Expr, seed: int = 0) -> bool:
     elif slhs.width != srhs.width:
         verdict = False
     else:
-        mix = seed ^ (hash((repr(slhs), repr(srhs))) & 0xFFFFFFFF)
+        mix = _sample_seed(slhs, srhs, seed)
         verdict = _first_difference(slhs, srhs, mix) is None
     _EQUAL_MEMO.put(key, verdict)
     return verdict

@@ -34,8 +34,9 @@ Soundness argument (why the rebased verdict equals a direct check):
 
 As a defence against the argument being wrong anywhere, a deterministic
 seeded sample of memo-served verdicts is additionally re-verified directly
-and compared field-for-field (:func:`set_cross_check` tunes the rate; the
-offline benchmark runs with sampling at 100%).  A divergence raises
+and compared field-for-field (:func:`set_cross_check` tunes the rate;
+``tests/test_derived_rules_snapshot.py`` samples at 1-in-1 over the whole
+benchmark suite and pins the result).  A divergence raises
 :class:`~repro.errors.VerificationError` — loudly, because it would mean
 derived rules could differ from direct verification.
 """
@@ -205,7 +206,7 @@ def check_shape_class(
     """Run *search* once per canonical shape; rebase the verdict per member.
 
     *search* is the full mapping search
-    (:func:`repro.verify.checker._search_mappings_fast`); it is invoked with
+    (:func:`repro.verify.checker._search_mappings`); it is invoked with
     the canonical pair on a memo miss, and bypassed (served from the memo)
     otherwise.  Pairs that cannot be canonicalized fall through to a direct
     search.

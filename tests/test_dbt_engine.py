@@ -201,3 +201,32 @@ class TestTemplateTier:
         )
         assert again.architectural_snapshot() == first.architectural_snapshot()
         assert again.metrics.host_counts == first.metrics.host_counts
+
+
+class TestJitThroughput:
+    def test_jit_beats_interp_warm(self):
+        """The jit backend must run warm code faster than the interpreter.
+
+        libquantum under the quick ``condition`` rules, chaining off, best
+        of three warm runs per backend after one cold run; both backends
+        must also end in the same architectural state.
+        """
+        import time
+
+        from repro.difftest.oracle import stage_config
+        from repro.workloads import compiled_benchmark
+
+        unit = compiled_benchmark("libquantum").guest
+        config = stage_config("condition")
+        best, snapshots = {}, {}
+        for backend in ("interp", "jit"):
+            engine = DBTEngine(unit, config, backend=backend)
+            result = engine.run()
+            best[backend] = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                result = engine.run()
+                best[backend] = min(best[backend], time.perf_counter() - started)
+            snapshots[backend] = result.architectural_snapshot()
+        assert snapshots["jit"] == snapshots["interp"]
+        assert best["jit"] < best["interp"], best

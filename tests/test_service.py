@@ -615,3 +615,29 @@ class TestLoadgen:
         assert not check_loadgen_report(bad)[0]
         bad = {**base, "requests": {**base["requests"], "ok": 0}}
         assert not check_loadgen_report(bad)[0]
+
+    def test_report_meta_shape(self, tmp_path):
+        from datetime import datetime
+
+        from repro.service.loadgen import REPORT_SCHEMA_VERSION, write_loadgen_report
+
+        path = tmp_path / "BENCH_x.json"
+        write_loadgen_report({"results": [1, 2]}, str(path))
+        payload = json.loads(path.read_text())
+        assert payload["results"] == [1, 2]
+        meta = payload["meta"]
+        assert set(meta) == {"schema_version", "commit", "created_utc", "cpu_count"}
+        assert meta["schema_version"] == REPORT_SCHEMA_VERSION
+        # a 40-hex commit inside a work tree, the literal "unknown" outside
+        assert meta["commit"] == "unknown" or len(meta["commit"]) == 40
+        # ISO-8601 with timezone, parseable round-trip
+        stamp = datetime.fromisoformat(meta["created_utc"])
+        assert stamp.tzinfo is not None
+
+    def test_report_keeps_existing_meta(self, tmp_path):
+        from repro.service.loadgen import write_loadgen_report
+
+        path = tmp_path / "BENCH_x.json"
+        write_loadgen_report({"meta": {"schema_version": 99}}, str(path))
+        payload = json.loads(path.read_text())
+        assert payload["meta"] == {"schema_version": 99}

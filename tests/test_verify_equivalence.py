@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.symir import BinOp, Const, Sym, UnOp, binop, unop
-from repro.verify.equivalence import exprs_equal, find_counterexample
+from repro.symir import BinOp, Const, Sym, UnOp, binop, simplify, unop
+from repro.verify.equivalence import _sample_seed, exprs_equal, find_counterexample
 
 U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -53,6 +53,16 @@ class TestExprsEqual:
     @given(a=U32, b=U32)
     def test_distinct_constants(self, a, b):
         assert exprs_equal(Const(a), Const(b)) == (a == b)
+
+
+    def test_sample_seed_is_pinned(self):
+        """The sampling seed is a fixed function of the pair's reprs, the
+        same in every process (string ``hash`` is randomized per process)."""
+        lhs = simplify(BinOp("mul", Sym("x"), Sym("y")))
+        rhs = simplify(BinOp("shl", Sym("x"), Sym("y")))
+        assert (repr(lhs), repr(rhs)) == ("(mul x:32 y:32)", "(shl x:32 y:32)")
+        assert _sample_seed(lhs, rhs, 0) == 0xFDEEB079
+        assert _sample_seed(lhs, rhs, 5) == 0xFDEEB079 ^ 5
 
 
 class TestCounterexample:
