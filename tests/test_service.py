@@ -622,10 +622,8 @@ class TestLoadgen:
         from repro.service.loadgen import REPORT_SCHEMA_VERSION, write_loadgen_report
 
         path = tmp_path / "BENCH_x.json"
-        write_loadgen_report({"results": [1, 2]}, str(path))
-        payload = json.loads(path.read_text())
-        assert payload["results"] == [1, 2]
-        meta = payload["meta"]
+        write_loadgen_report({}, str(path))
+        meta = json.loads(path.read_text())["meta"]
         assert set(meta) == {"schema_version", "commit", "created_utc", "cpu_count"}
         assert meta["schema_version"] == REPORT_SCHEMA_VERSION
         # a 40-hex commit inside a work tree, the literal "unknown" outside
@@ -633,6 +631,15 @@ class TestLoadgen:
         # ISO-8601 with timezone, parseable round-trip
         stamp = datetime.fromisoformat(meta["created_utc"])
         assert stamp.tzinfo is not None
+
+    def test_report_stamps_meta(self, tmp_path):
+        from repro.service.loadgen import REPORT_SCHEMA_VERSION, write_loadgen_report
+
+        path = tmp_path / "BENCH_x.json"
+        write_loadgen_report({"results": [1, 2]}, str(path))
+        payload = json.loads(path.read_text())
+        assert payload["results"] == [1, 2]
+        assert payload["meta"]["schema_version"] == REPORT_SCHEMA_VERSION
 
     def test_report_keeps_existing_meta(self, tmp_path):
         from repro.service.loadgen import write_loadgen_report
