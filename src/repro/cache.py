@@ -28,6 +28,7 @@ per-experiment reports.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 from collections import OrderedDict
@@ -337,6 +338,17 @@ def reset_disk_cache(
 # Shared observability serializer
 
 
+def gc_stats() -> List[Dict[str, int]]:
+    """The cyclic collector's counters, one dict per generation (0–2):
+    ``collections``, ``collected`` and ``uncollectable`` since process start.
+
+    Read from :func:`gc.get_stats`, so it costs nothing between calls; a
+    growing generation-2 ``collections`` count is where full collections
+    (and their pauses) land.
+    """
+    return [dict(stats) for stats in gc.get_stats()]
+
+
 def stats_payload(include_disk: bool = True) -> Dict[str, Any]:
     """One JSON-serializable snapshot of every cache layer.
 
@@ -357,6 +369,7 @@ def stats_payload(include_disk: bool = True) -> Dict[str, Any]:
         "interned_exprs": intern_table_size(),
         "memos": [memo.stats() for memo in memo_registry()],
         "trace_tier": TRACE_STATS.snapshot(),
+        "gc": gc_stats(),
     }
     if include_disk:
         payload["disk_entries"] = cache.entry_count()

@@ -83,6 +83,7 @@ def _cmd_cache(args) -> int:
         STATS,
         clear_all_caches,
         disk_cache,
+        gc_stats,
         memo_registry,
         stats_payload,
     )
@@ -124,6 +125,11 @@ def _cmd_cache(args) -> int:
           f"guard exits {trace['guard_exits']}")
     print(f"  source cache: {trace['source_cache_hits']} hits, "
           f"{trace['source_cache_stores']} stores")
+    print("cyclic gc (this process):")
+    for generation, stats in enumerate(gc_stats()):
+        print(f"  gen {generation}: {stats['collections']} collections, "
+              f"{stats['collected']} collected, "
+              f"{stats['uncollectable']} uncollectable")
     return 0
 
 

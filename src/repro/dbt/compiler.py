@@ -83,7 +83,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.cache import STATS
 
 from repro.dbt.executor import WEIGHTS, BlockKernel, HostExecutor
-from repro.dbt.runtime import DISPATCH_LABEL
+from repro.dbt.runtime import DISPATCH_LABEL, GLUE_IDS
 from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
 from repro.isa.flags import NZCV
@@ -692,12 +692,19 @@ def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
 # per *shape*: the mnemonic, what the emitters branch on for each operand
 # (:func:`_operand_shape`) and the dead-flag set.  The factory's parameters
 # are the instruction's operand constants, so binding a block is one walk
-# over its operands and one factory call per instruction.
+# over its operands and one factory call per instruction.  The runtime's
+# shared glue instructions (entry loads, exit stores, flag spills and
+# fills, ``bx``'s PC store) are the one exception: each is bound once per
+# process.
 
-#: Shape -> factory, for the life of the process.  Keyed by shapes
-#: only, never by concrete instructions or blocks, so every block still
-#: pays its own binding.
+#: Shape -> factory, for the life of the process.  Keyed by shapes, so
+#: rule-body and TCG instructions pay their binding in every block.
 _FACTORIES: Dict[Any, Callable] = {}
+
+#: (shared glue instruction, dead-flag set) -> bound function, for the
+#: life of the process.  Only :data:`repro.dbt.runtime.GLUE_IDS`
+#: instructions enter it, so it is bounded by registers x flags.
+_GLUE_FNS: Dict[Tuple[Instruction, FrozenSet[str]], Callable] = {}
 
 #: :data:`_PRED_EXPR` as callables over the flag file, for template exits.
 _PRED_FN: Dict[str, Callable] = {
@@ -818,6 +825,17 @@ def _bind_insn(
     if factory is None:
         factory = _FACTORIES[key] = _make_factory(key, defn)
     return factory(*params, defn.semantics, insn)
+
+
+def _bind_glue(
+    insn: Instruction, defn: InstructionDef, dead: FrozenSet[str]
+) -> Callable:
+    """:func:`_bind_insn` for a shared glue instruction, once per process."""
+    key = (insn, dead)
+    fn = _GLUE_FNS.get(key)
+    if fn is None:
+        fn = _GLUE_FNS[key] = _bind_insn(insn, defn, dead)
+    return fn
 
 
 def _template_runner(runs, tier_up, after: int):
@@ -1058,11 +1076,15 @@ def bind_block(
     host_counts = _path_counts(tb, bounds, exits)
     if host_counts is None:
         return CompiledBlock(tb, partial(_interpret, tb, BlockKernel(tb)), ())
+    host = tb.host
     runs = []
     for (start, end), (pred, taken, fall) in zip(bounds, exits):
         insns, dead = _run_insns(defs, start, end)
         fns = tuple(
-            _bind_insn(tb.host[k], defs[k], dead.get(k, _NONE)) for k in insns
+            (_bind_glue if id(host[k]) in GLUE_IDS else _bind_insn)(
+                host[k], defs[k], dead.get(k, _NONE)
+            )
+            for k in insns
         )
         exit_fn = None if pred is None else _PRED_FN[pred]
         runs.append((fns, exit_fn, _FELL if taken is None else taken, fall))

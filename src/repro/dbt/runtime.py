@@ -10,11 +10,20 @@ instructions).  ``t0``/``t1``/... are block-local scratch registers.
 Translated code addresses guest memory directly (user-mode QEMU identity
 mapping), so the environment region is placed outside the workload address
 space.
+
+This module owns every fixed host operand and glue instruction the
+translators emit.  Each is built once per process, in eager tables over
+the finite domains below, and every block shares the same objects:
+operands and instructions are immutable, and a per-block copy would only
+be garbage the cyclic collector has to walk.
 """
 
 from __future__ import annotations
 
-from repro.isa.operands import Mem, Reg
+from typing import Dict, Tuple
+
+from repro.isa.instruction import Instruction
+from repro.isa.operands import Label, Mem, Reg
 
 #: Base address of the emulated CPU environment.
 ENV_BASE = 0x00F0_0000
@@ -24,6 +33,11 @@ _FLAG_ORDER = ("N", "Z", "C", "V")
 
 _REG_SLOT = {name: i for i, name in enumerate(_REG_ORDER)}
 _FLAG_SLOT = {name: len(_REG_ORDER) + i for i, name in enumerate(_FLAG_ORDER)}
+
+#: Scratch registers: ``t0``–``t3`` are TCG temporaries, ``t4`` holds a
+#: materialized PC and ``t5`` onward a rule's host temporaries (at most one
+#: per host register, of which the host ISA has 8).
+_SCRATCH_COUNT = 5 + 8
 
 #: Guest "address" that means "halt the machine" when control reaches it.
 HALT_ADDRESS = 0xFFFF_FFF0
@@ -40,16 +54,53 @@ def env_flag_addr(flag: str) -> int:
     return ENV_BASE + 4 * _FLAG_SLOT[flag]
 
 
-def env_reg_mem(name: str) -> Mem:
-    return Mem(disp=env_reg_addr(name))
+GUEST_REGS: Dict[str, Reg] = {name: Reg(f"g_{name}") for name in _REG_ORDER}
+SCRATCH_REGS: Tuple[Reg, ...] = tuple(Reg(f"t{i}") for i in range(_SCRATCH_COUNT))
+_ENV_REG_MEMS: Dict[str, Mem] = {
+    name: Mem(disp=env_reg_addr(name)) for name in _REG_ORDER
+}
+_ENV_FLAG_MEMS: Dict[str, Mem] = {
+    flag: Mem(disp=env_flag_addr(flag)) for flag in _FLAG_ORDER
+}
 
+#: Block prologue: ``movl [env_X], g_X`` per guest register.
+ENTRY_LOADS: Dict[str, Instruction] = {
+    name: Instruction("movl", (_ENV_REG_MEMS[name], GUEST_REGS[name]))
+    for name in _REG_ORDER
+}
+#: Exit stub: ``movl_s g_X, [env_X]`` per guest register.
+EXIT_STORES: Dict[str, Instruction] = {
+    name: Instruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS[name]))
+    for name in _REG_ORDER
+}
+#: ``bx X`` exit: ``movl_s g_X, [env_pc]`` per guest register.
+PC_STORES: Dict[str, Instruction] = {
+    name: Instruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS["pc"]))
+    for name in _REG_ORDER
+}
+#: Host-flag spill (``st<f>f [env_F]``) and fill (``ld<f>f [env_F]``) per flag.
+FLAG_SPILLS: Dict[str, Instruction] = {
+    flag: Instruction(f"st{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
+    for flag in _FLAG_ORDER
+}
+FLAG_FILLS: Dict[str, Instruction] = {
+    flag: Instruction(f"ld{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
+    for flag in _FLAG_ORDER
+}
+#: Every exit stub's last instruction.
+JMP_DISPATCH = Instruction("jmp", (Label(DISPATCH_LABEL),))
 
-def env_flag_mem(flag: str) -> Mem:
-    return Mem(disp=env_flag_addr(flag))
+#: ``id`` of every shared glue instruction above.  The tables live for the
+#: whole process, so no other live object can carry one of these ids.
+GLUE_IDS = frozenset(
+    id(insn)
+    for table in (ENTRY_LOADS, EXIT_STORES, PC_STORES, FLAG_SPILLS, FLAG_FILLS)
+    for insn in table.values()
+) | {id(JMP_DISPATCH)}
 
 
 def env_pc_mem() -> Mem:
-    return env_reg_mem("pc")
+    return _ENV_REG_MEMS["pc"]
 
 
 def env_pc_word() -> int:
@@ -59,11 +110,11 @@ def env_pc_word() -> int:
 
 def guest_reg(name: str) -> Reg:
     """The virtual host register holding guest register *name*."""
-    return Reg(f"g_{name}")
+    return GUEST_REGS[name]
 
 
 def scratch_reg(index: int) -> Reg:
-    return Reg(f"t{index}")
+    return SCRATCH_REGS[index]
 
 
 def is_env_address(addr: int) -> bool:

@@ -22,7 +22,7 @@ from repro.isa.arm.opcodes import ARM
 from repro.isa.flags import CONDITION_FLAG_USES
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Operand, Reg, RegList
-from repro.dbt.runtime import env_flag_mem, guest_reg, scratch_reg
+from repro.dbt.runtime import FLAG_FILLS, FLAG_SPILLS, guest_reg, scratch_reg
 
 _SIZED_LOAD = {"ldr": "movl", "ldrh": "movzwl", "ldrb": "movzbl"}
 _SIZED_STORE = {"str": "movl_s", "strh": "movw", "strb": "movb"}
@@ -46,19 +46,11 @@ _ALU_HOST = {
 
 
 def _flag_stores(flags) -> List[Instruction]:
-    return [
-        Instruction(f"st{f.lower()}f", (env_flag_mem(f),))
-        for f in ("N", "Z", "C", "V")
-        if f in flags
-    ]
+    return [FLAG_SPILLS[f] for f in ("N", "Z", "C", "V") if f in flags]
 
 
 def _flag_loads(flags) -> List[Instruction]:
-    return [
-        Instruction(f"ld{f.lower()}f", (env_flag_mem(f),))
-        for f in ("N", "Z", "C", "V")
-        if f in flags
-    ]
+    return [FLAG_FILLS[f] for f in ("N", "Z", "C", "V") if f in flags]
 
 
 def lower(

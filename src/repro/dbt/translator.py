@@ -33,10 +33,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.dbt import tcg
 from repro.dbt.block import Block, BlockMap
 from repro.dbt.runtime import (
-    DISPATCH_LABEL,
-    env_flag_mem,
+    ENTRY_LOADS,
+    EXIT_STORES,
+    FLAG_FILLS,
+    FLAG_SPILLS,
+    JMP_DISPATCH,
+    PC_STORES,
     env_pc_mem,
-    env_reg_mem,
     guest_reg,
     scratch_reg,
 )
@@ -544,7 +547,7 @@ class BlockTranslator:
 
         reads, writes = _block_reg_usage(insns, defs)
         for name in sorted(reads):
-            emit(Instruction("movl", (env_reg_mem(name), guest_reg(name))), CAT_DATA)
+            emit(ENTRY_LOADS[name], CAT_DATA)
 
         env_stale: Set[str] = set()
         for segment in segments:
@@ -565,25 +568,19 @@ class BlockTranslator:
                 continue
 
             for flag in sorted(segment.reader_ldf):
-                emit(Instruction(f"ld{flag.lower()}f", (env_flag_mem(flag),)), CAT_RULE)
+                emit(FLAG_FILLS[flag], CAT_RULE)
             if segment.pc_value is not None:
                 emit(
                     Instruction("movl", (Imm(segment.pc_value), scratch_reg(4))),
                     CAT_RULE,
                 )
 
-            def host_reg(name: str) -> Reg:
-                if name == _PC_PLACEHOLDER:
-                    return scratch_reg(4)
-                return guest_reg(name)
-
-            window = segment.window
             body = list(
                 segment.rule.instantiate(
-                    window,
-                    host_reg=host_reg,
-                    scratch=lambda k: scratch_reg(5 + k),
-                    label_map=lambda _lbl: _EXIT_TAKEN,
+                    segment.window,
+                    host_reg=_host_reg,
+                    scratch=_rule_scratch,
+                    label_map=_exit_taken,
                 )
             )
             # Flag glue goes before a window-terminating branch (both paths
@@ -602,13 +599,13 @@ class BlockTranslator:
             # C/V flags from the rule's own host flags *before* it.
             early = segment.post_stf - {"N", "Z"} if segment.post_testl else set()
             for flag in sorted(early):
-                emit(Instruction(f"st{flag.lower()}f", (env_flag_mem(flag),)), CAT_RULE)
+                emit(FLAG_SPILLS[flag], CAT_RULE)
                 env_stale.discard(flag)
             if segment.post_testl:
                 dest = _rule_dest_reg(segment)
                 emit(Instruction("testl", (guest_reg(dest), guest_reg(dest))), CAT_RULE)
             for flag in sorted(segment.post_stf - early):
-                emit(Instruction(f"st{flag.lower()}f", (env_flag_mem(flag),)), CAT_RULE)
+                emit(FLAG_SPILLS[flag], CAT_RULE)
                 env_stale.discard(flag)
             for item in tail:
                 emit(item, CAT_RULE)
@@ -626,12 +623,12 @@ class BlockTranslator:
 
         def emit_exit(target_index: Optional[int], via_reg: Optional[str] = None) -> None:
             for name in sorted(writes):
-                emit(Instruction("movl_s", (guest_reg(name), env_reg_mem(name))), CAT_DATA)
+                emit(EXIT_STORES[name], CAT_DATA)
             if via_reg is not None:
-                emit(Instruction("movl_s", (guest_reg(via_reg), env_pc_mem())), CAT_CONTROL)
+                emit(PC_STORES[via_reg], CAT_CONTROL)
             else:
                 emit(Instruction("movl_s", (Imm(target_index * 4), env_pc_mem())), CAT_CONTROL)
-            emit(Instruction("jmp", (Label(DISPATCH_LABEL),)), CAT_CONTROL)
+            emit(JMP_DISPATCH, CAT_CONTROL)
 
         if term is not None and term.is_branch and term.cond is not None:
             target = _branch_target_index(self.unit, insns[-1])
@@ -654,6 +651,21 @@ class BlockTranslator:
             covered=tuple(covered),
             applied=tuple(applied),
         )
+
+
+def _host_reg(name: str) -> Reg:
+    """Host operand holding guest register *name* inside a rule body."""
+    if name == _PC_PLACEHOLDER:
+        return scratch_reg(4)
+    return guest_reg(name)
+
+
+def _rule_scratch(index: int) -> Reg:
+    return scratch_reg(5 + index)
+
+
+def _exit_taken(_label: str) -> str:
+    return _EXIT_TAKEN
 
 
 def _rule_dest_reg(segment: _Segment) -> Optional[str]:

@@ -49,6 +49,7 @@ class TestCacheCli:
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "cache directory" in out and "disk entries" in out
+        assert "cyclic gc" in out and "gen 2:" in out
 
     def test_cache_stats_json(self, capsys):
         import json
@@ -62,6 +63,20 @@ class TestCacheCli:
         assert isinstance(payload["memos"], list)
         assert "derivations" in payload["process"]
         assert "jit_tierups_count" in payload["process"]  # jit template tier
+        # the cyclic collector's counters, one entry per generation
+        assert [sorted(gen) for gen in payload["gc"]] == [
+            ["collected", "collections", "uncollectable"]
+        ] * 3
+
+    def test_stats_payload_counts_full_collections(self):
+        import gc
+
+        from repro.cache import stats_payload
+
+        before = stats_payload(include_disk=False)["gc"][2]["collections"]
+        gc.collect()
+        after = stats_payload(include_disk=False)["gc"][2]["collections"]
+        assert after >= before + 1
 
     def test_cache_clear(self, capsys):
         from repro.cache import disk_cache

@@ -199,6 +199,26 @@ class TestAssemblyPrograms:
 
 
 class TestLoader:
+    @pytest.mark.parametrize(
+        "line",
+        ["add pc, r0, #0", "mov pc, r1", "ldr pc, [r0]", "pop {r4, pc}"],
+    )
+    def test_pc_write_outside_branches_rejected(self, line):
+        """Neither the reference nor the DBT models a PC write as a branch;
+        both would fall through it alike, so it must not load at all."""
+        from repro.errors import AssemblyError
+
+        with pytest.raises(AssemblyError, match="writes the PC"):
+            unit_from_assembly(f"mov r1, #7\n{line}\nmov r1, #9\nbx lr")
+
+    def test_pc_reads_and_branches_still_load(self):
+        unit = unit_from_assembly(
+            "fn_main:\n  push {lr}\n  add r0, pc, #4\n  str r0, [sp]\n"
+            "  bl fn_helper\n  pop {lr}\n  bx lr\n"
+            "fn_helper:\n  mov r1, pc\n  bx lr"
+        )
+        assert set(unit.func_labels) == {"helper", "main"}
+
     def test_functions_discovered(self):
         unit = unit_from_assembly(PROGRAMS["call_and_return"])
         assert set(unit.func_labels) == {"helper", "main"}

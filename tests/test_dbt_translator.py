@@ -164,3 +164,70 @@ class TestPcConstraint:
 
         assert pic_covered("opcode") == 0
         assert pic_covered("condition") > 0
+
+
+class TestSharedGlue:
+    """Fixed host operands and glue instructions are per-process objects:
+    every block of every engine emits the runtime's own, never a copy."""
+
+    @staticmethod
+    def _blocks(unit, config):
+        from repro.dbt import DBTEngine
+
+        engine = DBTEngine(unit, config, chaining=True, backend="jit")
+        engine.run()
+        return [entry.tb for entry in engine.code_cache.values()]
+
+    @staticmethod
+    def _regs(insn):
+        from repro.isa.operands import Mem, Reg
+
+        for op in insn.operands:
+            if isinstance(op, Reg):
+                yield op
+            elif isinstance(op, Mem):
+                yield from (r for r in (op.base, op.index) if r is not None)
+
+    @pytest.mark.parametrize("stage", ["qemu", "condition"])
+    def test_two_programs_share_glue_objects(self, demo_pair, demo_setup, stage):
+        from repro.dbt import compiler, runtime
+
+        config = demo_setup.configs[stage]
+        programs = [
+            self._blocks(demo_pair.guest, config),
+            self._blocks(compile_pair("t", LOOP_SOURCE).guest, config),
+        ]
+        tables = {
+            "entry": runtime.ENTRY_LOADS,
+            "exit": runtime.EXIT_STORES,
+            "pc": runtime.PC_STORES,
+            "spill": runtime.FLAG_SPILLS,
+            "fill": runtime.FLAG_FILLS,
+            "jmp": {"": runtime.JMP_DISPATCH},
+        }
+        shared = {
+            insn: (kind, insn) for kind, table in tables.items() for insn in table.values()
+        }
+        scratch = {id(reg) for reg in runtime.SCRATCH_REGS}
+        used = []
+        for blocks in programs:
+            kinds = set()
+            for tb in blocks:
+                for insn in tb.host:
+                    if insn in shared:
+                        kind, glue = shared[insn]
+                        assert insn is glue, f"copy of shared glue {insn}"
+                        kinds.add(kind)
+                    for reg in self._regs(insn):
+                        assert (
+                            reg is runtime.GUEST_REGS.get(reg.name[2:])
+                            or id(reg) in scratch
+                        ), f"{reg} in {insn} is not the runtime's"
+            used.append(kinds)
+        # Delegation keeps the demo's flags in host flags at "condition".
+        spills = set() if stage == "condition" else {"spill", "fill"}
+        assert {"entry", "exit", "pc", "jmp"} | spills <= used[0] | used[1]
+        assert {"entry", "exit", "jmp"} <= used[0] & used[1]
+        # The template form binds each glue instruction once per process.
+        assert compiler._GLUE_FNS
+        assert all(id(insn) in runtime.GLUE_IDS for insn, _dead in compiler._GLUE_FNS)

@@ -93,6 +93,15 @@ class TestOracle:
         with pytest.raises(InvalidProgram):
             run_oracle(["bne Lmissing", "bx lr"], stage_config())
 
+    @pytest.mark.parametrize(
+        "line", ["add pc, r0, #0", "ldr pc, [sp]", "pop {r4, pc}"]
+    )
+    def test_pc_write_is_invalid_not_silent(self, line):
+        with pytest.raises(InvalidProgram, match="writes the PC"):
+            assemble_program(["mov r1, #7", line, "bx lr"])
+        with pytest.raises(InvalidProgram):
+            run_oracle(["mov r1, #7", line, "bx lr"], stage_config())
+
     def test_runaway_is_invalid(self):
         with pytest.raises(InvalidProgram):
             run_oracle(

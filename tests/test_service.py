@@ -211,6 +211,7 @@ class TestServiceServer:
                 assert result["server"]["connections"] == 1
                 assert "process" in result["caches"]  # shared serializer payload
                 assert "jit_blocks_bound" in result["caches"]["process"]
+                assert len(result["caches"]["gc"]) == 3  # one per generation
                 writer.close()
             finally:
                 await server.aclose()
@@ -321,6 +322,14 @@ class TestServiceServer:
                     reader, writer, {"id": 9, "op": "run", "benchmark": "nope"}
                 )
                 assert response["error"]["code"] == "bad-program"
+                # a program writing the PC outside b/bl/bx
+                response = await _rpc(
+                    reader,
+                    writer,
+                    {"id": 11, "op": "run", "program": ["add pc, r0, #0", "bx lr"]},
+                )
+                assert response["error"]["code"] == "bad-program"
+                assert "writes the PC" in response["error"]["message"]
                 # ... and the connection still serves fine afterwards
                 response = await _rpc(reader, writer, {"id": 10, "op": "ping"})
                 assert response["ok"]
