@@ -1,14 +1,15 @@
 """Learned- and derived-rule snapshot over the full benchmark suite.
 
 Learns rules from all 12 workload benchmarks and derives the parameterized
-rule set from them, cold: every in-memory cache cleared and the disk cache
+rule set and the sequence rules (:func:`repro.param.derive_sequence_rules`)
+from them, cold: every in-memory cache cleared and the disk cache
 off, so each verdict is computed rather than recalled.  The shape-class
 cross-check samples at 1-in-1, so every verdict served from a shape-class
 memo is re-verified directly (:mod:`repro.verify.shapeclass`).
 
-The learned rules and the derived payload (rules, counts and per-target
-stages, as :func:`repro.param.derive._param_result_to_dict` stores them) are
-each serialized deterministically and compared by ``sha256[:16]`` with
+The learned rules, the derived payload (rules, counts and per-target
+stages, as :func:`repro.param.derive._param_result_to_dict` stores them) and
+the sequence-derived rules are each serialized deterministically and compared by ``sha256[:16]`` with
 ``tests/data/derived_rules_digests.json``, together with the derivation
 counts and the number of cross-checked verdicts.
 
@@ -42,6 +43,7 @@ def cold_snapshot() -> Dict[str, object]:
     from repro.experiments.common import rules_from
     from repro.learning.store import rule_to_dict
     from repro.param.derive import _param_result_to_dict, derive_rules
+    from repro.param.seqderive import derive_sequence_rules
     from repro.verify import shapeclass
     from repro.workloads import BENCHMARK_NAMES
 
@@ -55,6 +57,7 @@ def cold_snapshot() -> Dict[str, object]:
     try:
         learned = rules_from(tuple(BENCHMARK_NAMES))
         derived = _param_result_to_dict(derive_rules(learned))
+        sequence = derive_sequence_rules(learned)
     finally:
         shapeclass.set_cross_check(previous_mod)
         cache.enabled = was_enabled
@@ -63,6 +66,8 @@ def cold_snapshot() -> Dict[str, object]:
         "training_set": list(BENCHMARK_NAMES),
         "learned_digest": _digest([rule_to_dict(r) for r in learned.rules]),
         "derived_digest": _digest(derived),
+        "sequence_digest": _digest([rule_to_dict(r) for r in sequence.rules]),
+        "sequence_rules": len(sequence),
         "counts": derived["counts"],
         "cross_check": {
             key: after[key] - before[key] for key in ("checked", "failed")
@@ -91,6 +96,12 @@ def test_derived_rules_match_snapshot(snapshots):
     expected, actual = snapshots
     assert actual["counts"] == expected["counts"]
     assert actual["derived_digest"] == expected["derived_digest"]
+
+
+def test_sequence_rules_match_snapshot(snapshots):
+    expected, actual = snapshots
+    assert actual["sequence_rules"] == expected["sequence_rules"]
+    assert actual["sequence_digest"] == expected["sequence_digest"]
 
 
 def test_every_shape_class_verdict_cross_checks(snapshots):
