@@ -88,6 +88,7 @@ def _cmd_cache(args) -> int:
         stats_payload,
     )
     from repro.symir.expr import intern_table_size
+    from repro.verify.shapeclass import cross_check_stats
 
     cache = disk_cache()
     if args.action == "clear":
@@ -125,6 +126,9 @@ def _cmd_cache(args) -> int:
           f"guard exits {trace['guard_exits']}")
     print(f"  source cache: {trace['source_cache_hits']} hits, "
           f"{trace['source_cache_stores']} stores")
+    cross_check = cross_check_stats()
+    print("shape-class cross-check (this process): "
+          f"{cross_check['checked']} re-verified, {cross_check['failed']} diverged")
     print("cyclic gc (this process):")
     for generation, stats in enumerate(gc_stats()):
         print(f"  gen {generation}: {stats['collections']} collections, "

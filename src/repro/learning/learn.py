@@ -108,10 +108,7 @@ class Verifier:
         self._cache: Dict[Tuple, Tuple[CheckResult, Optional[TranslationRule]]] = {}
 
     def _key(self, candidate: Candidate) -> Tuple:
-        return (
-            tuple(str(i) for i in candidate.guest),
-            tuple(str(i) for i in candidate.host),
-        )
+        return (candidate.guest, candidate.host)
 
     def verify(self, candidate: Candidate) -> Tuple[CheckResult, Optional[TranslationRule]]:
         key = self._key(candidate)

@@ -13,13 +13,16 @@ code sequences after translation."  This module implements that extension:
   re-derived for every other condition code (``cmp+blt`` -> ``cmp+bge`` ...).
 
 Every derived sequence is re-verified symbolically before it becomes a rule,
-exactly like single-instruction derivation.
+exactly like single-instruction derivation — unless a learned rule already
+covers its guest window, in which case it would be dropped anyway and is
+not verified at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.cache import MISS, BoundedMemo
 from repro.isa.arm.opcodes import ARM
 from repro.isa.instruction import Instruction
 from repro.isa.x86.opcodes import X86, _COND_TO_JCC
@@ -29,8 +32,9 @@ from repro.learning.ruleset import RuleSet
 from repro.param.classify import OPCODE_MAP, parameterizable_opcodes
 from repro.verify.checker import check_equivalence
 
-#: Derived-sequence verification results, memoized across rule sets.
-_SEQ_CACHE: Dict[Tuple, Optional[TranslationRule]] = {}
+#: Derived-sequence verification results keyed by the (guest, host)
+#: instruction tuples, memoized across rule sets.
+_SEQ_CACHE = BoundedMemo(maxsize=4096, name="param.seq_verify")
 
 
 def _replace_mnemonic(
@@ -46,11 +50,12 @@ def _verify_sequence(
     host: Tuple[Instruction, ...],
     temps: int,
 ) -> Optional[TranslationRule]:
-    key = (tuple(map(str, guest)), tuple(map(str, host)))
-    if key in _SEQ_CACHE:
-        return _SEQ_CACHE[key]
+    key = (guest, host)
+    rule = _SEQ_CACHE.get(key)
+    if rule is not MISS:
+        return rule
     result = check_equivalence(ARM, X86, guest, host, allow_temps=temps)
-    rule: Optional[TranslationRule] = None
+    rule = None
     if result.dataflow_ok:
         rule = TranslationRule(
             guest=guest,
@@ -61,12 +66,13 @@ def _verify_sequence(
             imm_generalized=try_generalize_imms(guest, host),
             origin="seq-param",
         )
-    _SEQ_CACHE[key] = rule
+    _SEQ_CACHE.put(key, rule)
     return rule
 
 
-def _opcode_variants(rule: TranslationRule) -> List[TranslationRule]:
-    """One-position opcode substitutions of a learned sequence rule."""
+def _opcode_variants(rule: TranslationRule, learned: RuleSet) -> List[TranslationRule]:
+    """One-position opcode substitutions of a learned sequence rule that no
+    rule in *learned* covers."""
     variants: List[TranslationRule] = []
     for pos, guest_insn in enumerate(rule.guest):
         spec = OPCODE_MAP.get(guest_insn.mnemonic)
@@ -85,6 +91,8 @@ def _opcode_variants(rule: TranslationRule) -> List[TranslationRule]:
             if not ARM.lookup(alt).accepts(guest_insn.kinds):
                 continue
             guest = _replace_mnemonic(rule.guest, pos, alt)
+            if learned.lookup(guest) is not None:
+                continue
             # The host counterpart position may be ambiguous (e.g. two movl
             # instructions); try each candidate — verification arbitrates.
             for host_pos in host_positions:
@@ -96,8 +104,9 @@ def _opcode_variants(rule: TranslationRule) -> List[TranslationRule]:
     return variants
 
 
-def _condition_variants(rule: TranslationRule) -> List[TranslationRule]:
-    """Condition-code substitutions for branch-terminated sequences."""
+def _condition_variants(rule: TranslationRule, learned: RuleSet) -> List[TranslationRule]:
+    """Condition-code substitutions for branch-terminated sequences that no
+    rule in *learned* covers."""
     guest_last = rule.guest[-1]
     defn = ARM.lookup(guest_last.mnemonic)
     if not defn.is_branch or defn.cond is None:
@@ -110,6 +119,8 @@ def _condition_variants(rule: TranslationRule) -> List[TranslationRule]:
         if cond == defn.cond:
             continue
         guest = _replace_mnemonic(rule.guest, len(rule.guest) - 1, f"b{cond}")
+        if learned.lookup(guest) is not None:
+            continue
         host = _replace_mnemonic(rule.host, len(rule.host) - 1, jcc)
         derived = _verify_sequence(guest, host, len(rule.host_temps))
         if derived is not None:
@@ -124,10 +135,8 @@ def derive_sequence_rules(learned: RuleSet) -> RuleSet:
     for rule in learned:
         if rule.guest_length < 2:
             continue
-        for variant in _opcode_variants(rule):
-            if learned.lookup(variant.guest) is None:
-                derived.add(variant)
-        for variant in _condition_variants(rule):
-            if learned.lookup(variant.guest) is None:
-                derived.add(variant)
+        for variant in _opcode_variants(rule, learned):
+            derived.add(variant)
+        for variant in _condition_variants(rule, learned):
+            derived.add(variant)
     return derived

@@ -1,4 +1,5 @@
-"""Shape-class batched verification (register-renamed canonical checking).
+"""Shape-class batched verification (register- and label-renamed canonical
+checking).
 
 Rule-candidate verification is invariant under consistent register renaming:
 the mapping search binds guest registers positionally (``guest_regs[i]`` →
@@ -6,16 +7,21 @@ the mapping search binds guest registers positionally (``guest_regs[i]`` →
 registers they use — the same *shape class*, in the sense of the paper's
 parameterization (register operands are parameters, §IV-B) — have
 verification outcomes that are images of each other under the renaming.
+It is invariant under consistent branch-label renaming too: no comparison
+ever reads a label.
 
 This module exploits that: a candidate pair is renamed to its canonical
 shape (registers replaced, in first-occurrence order, by the ISA's
-allocatable pool: ``r0, r1, ...`` / ``eax, ecx, ...``), the full mapping
-search runs once per canonical shape, and the verdict is *rebased* through
-the inverse renaming for every other member of the class.  Derivation
-targets are materialized in canonical form already (`repro.param.shapes`),
-so the big win is cross-phase: the learning phase verifies trace candidates
-in whatever registers the binaries used, and derivation re-verifies the
-same shapes in canonical registers — one search serves both.
+allocatable pool: ``r0, r1, ...`` / ``eax, ecx, ...``; branch labels
+replaced jointly across both sides, in first-occurrence order, by ``L0,
+L1, ...``), the full mapping search runs once per canonical shape, and the
+verdict is *rebased* through the inverse register renaming for every other
+member of the class.  Derivation targets are materialized in canonical
+form already (`repro.param.shapes`), so the big win is cross-phase: the
+learning phase verifies trace candidates in whatever registers the binaries
+used, and derivation re-verifies the same shapes in canonical registers —
+one search serves both.  Label renaming lets the condition-code variants
+of ``cmp`` + ``b<cc>`` pairs from different blocks share one search.
 
 Soundness argument (why the rebased verdict equals a direct check):
 
@@ -25,9 +31,15 @@ Soundness argument (why the rebased verdict equals a direct check):
   k-th original mapping.
 * Every expression the search compares is over positional symbols (``v0``,
   ``F*``, ``mem*``) — register names never appear.  Lazily-materialized
-  ``h_<reg>`` symbols would be name-dependent, but the probe pruning skips
+  ``h_<reg>`` symbols would be name-dependent, but the search prunes
   any mapping whose unmapped registers are read-before-written, so no
   surviving comparison contains one.
+* Labels never reach a comparison: :func:`~repro.verify.checker.check_equivalence`
+  only counts them and requires the guest and host names to agree, a
+  branch's semantics stores its target but the state comparison reads only
+  ``branch_taken``, and a :class:`~repro.verify.checker.CheckResult` holds
+  no label.  The renaming is joint, so which guest label corresponds to
+  which host label survives in the canonical key.
 * Sequences touching registers outside the allocatable pool (``sp``,
   ``pc``, ``lr``) bypass canonicalization entirely and are checked
   directly.
@@ -50,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cache import MISS, BoundedMemo
 from repro.errors import VerificationError
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Mem, Reg, RegList
+from repro.isa.operands import Label, Mem, Reg, RegList
 
 #: Canonical verdicts keyed by (ISA names, canonical insns, wanted flags).
 _SHAPE_MEMO = BoundedMemo(maxsize=4096, name="verify.shape_class")
@@ -78,7 +90,7 @@ def cross_check_stats() -> Dict[str, int]:
     return {"checked": _cross_checked, "failed": _cross_failed}
 
 
-def _rename_operand(op, rename: Dict[str, str]):
+def _rename_operand(op, rename: Dict[str, str], labels: Optional[Dict[str, str]]):
     if isinstance(op, Reg):
         return Reg(rename[op.name])
     if isinstance(op, Mem):
@@ -87,17 +99,22 @@ def _rename_operand(op, rename: Dict[str, str]):
         return Mem(base=base, index=index, disp=op.disp, scale=op.scale)
     if isinstance(op, RegList):
         return RegList(tuple(Reg(rename[r.name]) for r in op.regs))
+    if isinstance(op, Label) and labels is not None:
+        return Label(labels[op.name])
     return op
 
 
 def rename_registers(
-    insns: Sequence[Instruction], rename: Dict[str, str]
+    insns: Sequence[Instruction],
+    rename: Dict[str, str],
+    labels: Optional[Dict[str, str]] = None,
 ) -> Tuple[Instruction, ...]:
-    """Rebuild *insns* with every register operand renamed through *rename*."""
+    """Rebuild *insns* with every register operand renamed through *rename*
+    (and every label through *labels*, when given)."""
     return tuple(
         Instruction(
             insn.mnemonic,
-            tuple(_rename_operand(op, rename) for op in insn.operands),
+            tuple(_rename_operand(op, rename, labels) for op in insn.operands),
         )
         for insn in insns
     )
@@ -113,9 +130,22 @@ def _canonical_rename(regs: List[str], pool: Sequence[str]) -> Optional[Dict[str
     return {r: pool[i] for i, r in enumerate(regs)}
 
 
+def _canonical_labels(*sides: Sequence[Instruction]) -> Dict[str, str]:
+    """Joint first-occurrence renaming of the labels of *sides* onto
+    ``L0, L1, ...``."""
+    labels: Dict[str, str] = {}
+    for insns in sides:
+        for insn in insns:
+            for op in insn.operands:
+                if isinstance(op, Label) and op.name not in labels:
+                    labels[op.name] = f"L{len(labels)}"
+    return labels
+
+
 @dataclass(frozen=True)
 class CanonicalPair:
-    """A candidate pair in canonical registers, with the inverse renamings."""
+    """A candidate pair in canonical registers and labels, with the inverse
+    register renamings (a verdict holds no label)."""
 
     guest_insns: Tuple[Instruction, ...]
     host_insns: Tuple[Instruction, ...]
@@ -135,19 +165,32 @@ def canonicalize_pair(
     host_regs: List[str],
 ) -> Optional[CanonicalPair]:
     """Canonical form of a candidate pair, or None when it must be checked
-    directly (a register outside the allocatable pool is involved)."""
+    directly (a register outside the allocatable pool is involved).
+
+    Registers are renamed per side; labels jointly across both sides.  The
+    pair is the identity member of its class only when both are already
+    canonical."""
     g_rename = _canonical_rename(guest_regs, guest_isa.allocatable)
     if g_rename is None:
         return None
     h_rename = _canonical_rename(host_regs, host_isa.allocatable)
     if h_rename is None:
         return None
-    identity = all(k == v for k, v in g_rename.items()) and all(
-        k == v for k, v in h_rename.items()
+    labels = _canonical_labels(guest_insns, host_insns)
+    identity = all(
+        k == v
+        for rename in (g_rename, h_rename, labels)
+        for k, v in rename.items()
     )
     return CanonicalPair(
-        guest_insns=guest_insns if identity else rename_registers(guest_insns, g_rename),
-        host_insns=host_insns if identity else rename_registers(host_insns, h_rename),
+        guest_insns=(
+            guest_insns if identity
+            else rename_registers(guest_insns, g_rename, labels)
+        ),
+        host_insns=(
+            host_insns if identity
+            else rename_registers(host_insns, h_rename, labels)
+        ),
         guest_regs=[g_rename[r] for r in guest_regs],
         host_regs=[h_rename[r] for r in host_regs],
         inv_guest={v: k for k, v in g_rename.items()},

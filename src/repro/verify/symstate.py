@@ -45,6 +45,8 @@ class SymbolicState(BaseState):
         self.initial_regs: Dict[str, Sym] = {}
         self.initial_flags: Dict[str, Sym] = {}
         self.written_regs: Set[str] = set()
+        #: registers read before this run wrote them, bound or not.
+        self.early_reads: Set[str] = set()
 
     # -- symbol binding --------------------------------------------------------
 
@@ -60,6 +62,8 @@ class SymbolicState(BaseState):
             self.initial_flags[name] = symbol
 
     def get_reg(self, name: str) -> Expr:
+        if name not in self.written_regs:
+            self.early_reads.add(name)
         value = self.regs.get(name)
         if value is None:
             value = Sym(f"{self.prefix}_{name}", 32)

@@ -212,6 +212,7 @@ class TestServiceServer:
                 assert "process" in result["caches"]  # shared serializer payload
                 assert "jit_blocks_bound" in result["caches"]["process"]
                 assert len(result["caches"]["gc"]) == 3  # one per generation
+                assert result["caches"]["verify"]["cross_failed"] == 0
                 writer.close()
             finally:
                 await server.aclose()

@@ -190,6 +190,126 @@ class TestBranches:
     def test_branch_count_mismatch(self):
         assert not check("cmp r0, r1\nbne .L", "cmpl %ecx, %eax").dataflow_ok
 
+    def test_non_corresponding_targets_rejected(self):
+        # Statement-aligned candidates branch to the same label on both
+        # sides; a pair that does not is rejected before any mapping search.
+        result = check("cmp r0, r1\nbne .L1", "cmpl %ecx, %eax\njne .L2")
+        assert not result.dataflow_ok
+        assert result.reason == "branch targets do not correspond"
+        assert check("bne .L1", "jne .L1").equivalent
+        assert not check("bne .L1", "jne .L2").dataflow_ok
+
+
+def _plain_search(guest: str, host: str, allow_temps: int = 0):
+    """The reference per-mapping search: a fresh guest and host run per
+    candidate mapping, no memos, no signature pruning."""
+    from repro.isa.flags import FLAG_NAMES
+    from repro.symir import Sym
+    from repro.verify import SymbolicState, run_symbolic
+    from repro.verify.checker import (
+        _NO_MAPPING,
+        _candidate_mappings,
+        _compare_states,
+        collect_regs,
+        guest_set_flags,
+    )
+
+    guest_insns, host_insns = arm(guest), x86(host)
+    guest_regs, host_regs = collect_regs(guest_insns), collect_regs(host_insns)
+    assert len(host_regs) - len(guest_regs) <= allow_temps
+    flag_inputs = {f: Sym(f"F{f}", 1) for f in FLAG_NAMES}
+    best = None
+    for mapping in _candidate_mappings(guest_regs, host_regs):
+        oracle: dict = {}
+        states = (SymbolicState("g", oracle), SymbolicState("h", oracle))
+        for i, (guest_reg, host_reg) in enumerate(mapping.items()):
+            states[0].bind_reg(guest_reg, Sym(f"v{i}", 32))
+            states[1].bind_reg(host_reg, Sym(f"v{i}", 32))
+        for state in states:
+            for flag in FLAG_NAMES:
+                state.bind_flag(flag, flag_inputs[flag])
+        run_symbolic(ARM, guest_insns, states[0])
+        run_symbolic(X86, host_insns, states[1])
+        result = _compare_states(
+            states[0], states[1], host_insns, mapping, flag_inputs,
+            guest_set_flags(ARM, guest_insns),
+        )
+        if result is None:
+            continue
+        if result.equivalent:
+            return result
+        if best is None or len(result.mismatched_flags) < len(best.mismatched_flags):
+            best = result
+    return best or _NO_MAPPING
+
+
+class TestMappingSearch:
+    """The search runs the host once per surviving mapping: the first
+    mapping's run doubles as the register signature that prunes the rest."""
+
+    @pytest.fixture
+    def host_runs(self, monkeypatch):
+        from repro.cache import clear_all_caches
+        from repro.verify import checker, shapeclass
+
+        clear_all_caches()
+        monkeypatch.setattr(shapeclass, "_CROSS_CHECK_MOD", 0)
+        runs = []
+        real = checker.run_symbolic
+
+        def counting(isa, instructions, state):
+            if isa is X86:
+                runs.append(instructions)
+            return real(isa, instructions, state)
+
+        monkeypatch.setattr(checker, "run_symbolic", counting)
+        return runs
+
+    @staticmethod
+    def _same(a, b):
+        return (a.equivalent, a.reg_mapping, a.host_temps, a.flag_status, a.reason) == (
+            b.equivalent, b.reg_mapping, b.host_temps, b.flag_status, b.reason
+        )
+
+    def test_first_mapping_wins_with_one_host_run(self, host_runs):
+        result = check("str r0, [r1]", "movl %eax, (%ecx)")
+        assert result.reg_mapping == {"r0": "eax", "r1": "ecx"}
+        assert result.equivalent
+        assert len(host_runs) == 1
+
+    def test_first_mapping_with_unread_temp_is_skipped(self, host_runs):
+        # Candidates: (eax, ecx) leaves edx as a temp, which subl reads
+        # before writing; (edx, eax) with ecx as the temp is the winner.
+        guest, host = "mov r0, r1", "movl %eax, %ecx\nsubl %edx, %edx\naddl %ecx, %edx"
+        result = check(guest, host, allow_temps=1)
+        assert result.equivalent
+        assert result.reg_mapping == {"r0": "edx", "r1": "eax"}
+        assert result.host_temps == ("ecx",)
+        assert self._same(result, _plain_search(guest, host, allow_temps=1))
+        # the first mapping's run, then the winner's; the other four
+        # candidates are ruled out by the signature alone
+        assert len(host_runs) == 2
+
+    def test_first_mapping_leaving_a_changed_register_is_skipped(self, host_runs):
+        # (eax, ecx) maps r0 to eax, which the host never writes although
+        # the guest changes r0; (ecx, eax) wins.
+        result = check("mov r0, r1", "movl %eax, %ecx")
+        assert result.reg_mapping == {"r0": "ecx", "r1": "eax"}
+        assert self._same(result, _plain_search("mov r0, r1", "movl %eax, %ecx"))
+        assert len(host_runs) == 2
+
+    @pytest.mark.parametrize(
+        "guest, host, temps",
+        [
+            ("mov r0, r1", "movl %ecx, %eax\nmovl %edx, %edx", 1),
+            ("add r0, r0, r1", "subl %ecx, %eax", 0),
+            ("sub r0, r1, r0", "subl %ecx, %eax", 0),
+            ("cmp r0, r1\nblt .L", "cmpl %ecx, %eax\njg .L", 0),
+        ],
+    )
+    def test_matches_the_plain_per_mapping_search(self, host_runs, guest, host, temps):
+        assert self._same(check(guest, host, temps), _plain_search(guest, host, temps))
+
 
 class TestPaperRejections:
     def test_unconditional_b(self):

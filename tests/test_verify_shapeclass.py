@@ -13,9 +13,11 @@ from repro.isa.arm import ARM, assemble as arm
 from repro.isa.x86 import X86, assemble as x86
 from repro.verify import check_equivalence
 from repro.verify.checker import CheckResult
+from repro.verify import shapeclass
 from repro.verify.shapeclass import (
     _SHAPE_MEMO,
     _rebase,
+    _results_agree,
     canonicalize_pair,
     cross_check_stats,
     rename_registers,
@@ -80,6 +82,70 @@ class TestCanonicalization:
         )
         back = rename_registers(pair.guest_insns, pair.inv_guest)
         assert [str(i) for i in back] == [str(i) for i in guest]
+
+
+class TestLabelRenaming:
+    def test_labels_are_renamed_jointly_in_first_occurrence_order(self):
+        a = canonicalize_pair(
+            ARM, X86,
+            arm("cmp r4, r7\nblt .Lk0_17"),
+            x86("cmpl %ebx, %esi\njl .Lk0_17"),
+            ["r4", "r7"], ["ebx", "esi"],
+        )
+        b = canonicalize_pair(
+            ARM, X86,
+            arm("cmp r5, r6\nblt .Lk1_3"),
+            x86("cmpl %edi, %ebx\njl .Lk1_3"),
+            ["r5", "r6"], ["edi", "ebx"],
+        )
+        assert a.guest_insns == b.guest_insns
+        assert a.host_insns == b.host_insns
+        assert str(a.guest_insns[-1]) == "blt L0"
+        assert str(a.host_insns[-1]) == "jl L0"
+
+    def test_label_correspondence_stays_in_the_key(self):
+        same = canonicalize_pair(
+            ARM, X86, arm("bne .La"), x86("jne .La"), [], []
+        )
+        crossed = canonicalize_pair(
+            ARM, X86, arm("bne .La"), x86("jne .Lb"), [], []
+        )
+        assert same.host_insns != crossed.host_insns
+        assert str(crossed.host_insns[-1]) == "jne L1"
+
+    def test_identity_requires_canonical_labels(self):
+        guest, host = arm("cmp r0, r1\nblt L0"), x86("cmpl %eax, %ecx\njl L0")
+        pair = canonicalize_pair(ARM, X86, guest, host, ["r0", "r1"], ["eax", "ecx"])
+        assert pair.identity and pair.guest_insns is guest
+        pair = canonicalize_pair(
+            ARM, X86, arm("cmp r0, r1\nblt .L"), x86("cmpl %eax, %ecx\njl .L"),
+            ["r0", "r1"], ["eax", "ecx"],
+        )
+        assert not pair.identity
+
+    def test_candidates_differing_only_in_label_share_one_search(self, monkeypatch):
+        from repro.verify import checker
+
+        clear_all_caches()
+        monkeypatch.setattr(shapeclass, "_CROSS_CHECK_MOD", 0)
+        searches = []
+        real = checker._search_mappings
+
+        def counting(*args):
+            searches.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(checker, "_search_mappings", counting)
+        first = check("cmp r4, r7\nblt .Lk0_17", "cmpl %edi, %ebx\njl .Lk0_17")
+        served = check("cmp r4, r7\nblt .Lk1_3", "cmpl %edi, %ebx\njl .Lk1_3")
+        assert len(searches) == 1
+        direct = real(
+            ARM, X86, arm("cmp r4, r7\nblt .Lk1_3"), x86("cmpl %edi, %ebx\njl .Lk1_3"),
+            ["r4", "r7"], ["edi", "ebx"], frozenset("NZCV"),
+        )
+        assert _results_agree(served, direct)
+        assert _results_agree(first, served)
+        assert served.equivalent
 
 
 class TestRebase:
