@@ -124,8 +124,6 @@ def _cmd_cache(args) -> int:
           f"retired {trace['retired']}")
     print(f"  entries {trace['entries']}  iterations {trace['iterations']}  "
           f"guard exits {trace['guard_exits']}")
-    print(f"  source cache: {trace['source_cache_hits']} hits, "
-          f"{trace['source_cache_stores']} stores")
     cross_check = cross_check_stats()
     print("shape-class cross-check (this process): "
           f"{cross_check['checked']} re-verified, {cross_check['failed']} diverged")
@@ -298,7 +296,6 @@ def _cmd_serve(args) -> int:
             request_timeout=args.timeout,
             disk_code_dir=args.code_cache_dir,
             chaining=not args.no_chaining,
-            backend=args.backend,
             ruleset_store=args.ruleset_store,
             watch_interval=args.watch_interval,
         )
@@ -338,7 +335,6 @@ def _cmd_pipeline(args) -> int:
             benchmarks=benchmarks,
             verify_programs=args.verify_programs,
             verify_seed=args.verify_seed,
-            backend=args.backend,
         )
     )
 
@@ -573,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "single-process server (pools set their own)")
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="per-request timeout in seconds")
-    serve.add_argument("--backend", default="jit", choices=("jit", "trace"),
-                       help="execution backend for run/coverage requests "
-                            "(trace adds hot-cycle superblocks; their "
-                            "generated source shares the disk code cache)")
     serve.add_argument("--no-chaining", action="store_true",
                        help="disable block chaining (chain links warm up "
                             "across requests, so run metrics become "
@@ -588,9 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "`reload` requests to hot-swap without a restart")
     serve.add_argument("--watch-interval", type=float, default=0.0,
                        metavar="SECONDS",
-                       help="poll the ruleset store and auto-reload when a "
-                            "new version is published (0 = reload only on "
-                            "explicit `reload` requests)")
+                       help="poll the ruleset store (needs --ruleset-store) "
+                            "and auto-reload when a new version is published "
+                            "(0 = reload only on explicit `reload` requests)")
     serve.set_defaults(fn=_cmd_serve)
 
     pipeline = sub.add_parser(
@@ -618,9 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "corpus itself (default 25)")
     pipeline.add_argument("--verify-seed", type=int, default=0,
                           help="program-generator seed for the verify stage")
-    pipeline.add_argument("--backend", default="jit",
-                          choices=("jit", "trace"),
-                          help="execution backend for the verify stage")
     pipeline.add_argument("--stage", default=None,
                           help="with `invalidate`: drop only this stage's "
                                "artifacts (corpus/learn/derive/verify/"

@@ -42,7 +42,6 @@ from repro.dbt.executor import BlockKernel, HostExecutor
 from repro.dbt.guest_interp import GuestInterpreter
 from repro.dbt.metrics import RunMetrics
 from repro.dbt.runtime import (
-    ENV_BASE,
     HALT_ADDRESS,
     env_flag_addr,
     env_pc_word,
@@ -157,7 +156,6 @@ class DBTEngine:
         backend: str = "interp",
         code_cache: Optional[Dict[int, CodeCacheEntry]] = None,
         trace_config: Optional[TraceConfig] = None,
-        trace_source_cache=None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(
@@ -182,9 +180,6 @@ class DBTEngine:
         #: trace-tier state (``backend="trace"``): edge profile, live
         #: superblocks by head index, and heads proven not traceable.
         self.trace_config = trace_config or TraceConfig()
-        #: optional diskcode adapter with ``get(starts)``/``put(starts, src)``
-        #: so trace source generation is shared across processes.
-        self.trace_source_cache = trace_source_cache
         self._edge_counts: Dict[Tuple[int, int], int] = {}
         self._traces: Dict[int, CompiledTrace] = {}
         self._trace_blacklist: set = set()
@@ -679,11 +674,7 @@ class DBTEngine:
     def _form_trace(self, head: int, metrics: RunMetrics) -> bool:
         """Try to promote ``head``; returns True iff a trace went live."""
         trace, permanent = form_trace(
-            head,
-            self._edge_counts,
-            self.code_cache.get,
-            self.trace_config,
-            self.trace_source_cache,
+            head, self._edge_counts, self.code_cache.get, self.trace_config
         )
         if trace is None:
             if permanent:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dbt.compiler import (
     _PRED_EXPR,
@@ -69,10 +69,6 @@ from repro.isa.instruction import Instruction, InstructionDef
 from repro.isa.operands import Imm, Label, Mem, Reg
 
 _MASK = 0xFFFFFFFF
-
-#: Bump when the generated trace shape changes incompatibly; part of the
-#: disk-cache content key, so stale cross-process entries become misses.
-TRACE_CODEGEN_VERSION = "trace-v2"
 
 _FLAG_NAMES = ("N", "Z", "C", "V")
 _FLAG_SLOT_ADDR = {env_flag_addr(f): f for f in _FLAG_NAMES}
@@ -153,8 +149,6 @@ class TraceStats:
         "entries",
         "iterations",
         "guard_exits",
-        "source_cache_hits",
-        "source_cache_stores",
     )
 
     def __init__(self) -> None:
@@ -179,42 +173,20 @@ class TraceStats:
 TRACE_STATS = TraceStats()
 
 
-# -- portable trace source -----------------------------------------------------
+# -- trace source --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TraceSource:
-    """The portable product of trace codegen (mirrors ``BlockSource``).
+    """The product of trace codegen (mirrors ``BlockSource``).
 
-    Plain data only: one process generates, any process re-instantiates
-    with :func:`compile_trace_source` against the same parsed blocks.  The
-    constituent block start indices are carried for key validation.
+    :func:`compile_trace_source` instantiates it against the parsed blocks
+    it was generated from; the constituent block start indices are carried
+    to check that they match.
     """
 
     text: str
     block_starts: Tuple[int, ...]
-    version: str = TRACE_CODEGEN_VERSION
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "text": self.text,
-            "block_starts": list(self.block_starts),
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "TraceSource":
-        text = payload["text"]
-        starts = payload["block_starts"]
-        version = payload["version"]
-        if (
-            not isinstance(text, str)
-            or not isinstance(starts, list)
-            or not all(isinstance(s, int) for s in starts)
-            or version != TRACE_CODEGEN_VERSION
-        ):
-            raise ValueError("malformed TraceSource payload")
-        return cls(text=text, block_starts=tuple(starts), version=version)
 
 
 # -- block-structure parsing ---------------------------------------------------
@@ -671,8 +643,8 @@ def generate_trace_source(
 ) -> TraceSource:
     """Lower one planned cycle into generated Python source.
 
-    Deterministic for a given (parsed, plans) input — the property the
-    cross-process disk cache relies on.  The function contract::
+    Deterministic for a given (parsed, plans) input.  The function
+    contract::
 
         _trace(st, max_iters) -> (completed_iterations, exit_pos)
 
@@ -854,7 +826,7 @@ class CompiledTrace:
 def compile_trace_source(
     parsed: Sequence[_ParsedBlock], source: TraceSource
 ) -> CompiledTrace:
-    """Instantiate trace source (fresh or disk-loaded) into a callable."""
+    """Instantiate generated trace source into a callable."""
     if source.block_starts != tuple(pb.tb.start for pb in parsed):
         raise ExecutionError("trace source does not match its blocks")
     ns = _trace_namespace(parsed)
@@ -875,14 +847,11 @@ def form_trace(
     edge_counts: Dict[Tuple[int, int], int],
     entry_of: Callable[[int], Optional[object]],
     cfg: TraceConfig,
-    source_cache=None,
 ) -> Tuple[Optional[CompiledTrace], bool]:
     """Try to grow and compile a trace at *head*.
 
     ``entry_of`` maps a guest block index to its ``CodeCacheEntry`` (or
-    None).  ``source_cache`` — when given — is any object with
-    ``get(block_starts) -> Optional[TraceSource]`` and
-    ``put(block_starts, TraceSource)`` (the diskcode adapter).
+    None).
 
     Returns ``(trace, permanent_failure)``: a permanent failure means the
     head should be blacklisted (its blocks cannot be stitched), a
@@ -907,19 +876,8 @@ def form_trace(
     if plans is None:
         TRACE_STATS.incr("form_failed")
         return None, True
-    starts = tuple(pb.tb.start for pb in parsed)
-    source: Optional[TraceSource] = None
-    if source_cache is not None:
-        source = source_cache.get(starts)
-        if source is not None:
-            TRACE_STATS.incr("source_cache_hits")
-    if source is None:
-        source = generate_trace_source(parsed, plans)
-        if source_cache is not None:
-            source_cache.put(starts, source)
-            TRACE_STATS.incr("source_cache_stores")
     try:
-        trace = compile_trace_source(parsed, source)
+        trace = compile_trace_source(parsed, generate_trace_source(parsed, plans))
     except ExecutionError:
         TRACE_STATS.incr("form_failed")
         return None, True

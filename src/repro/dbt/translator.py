@@ -104,10 +104,6 @@ class TranslatedBlock:
             agg[rule] = agg.get(rule, 0) + length
         self.rule_agg = tuple(agg.items())
 
-    @property
-    def host_count(self) -> int:
-        return len(self.host)
-
 
 @dataclass
 class _Segment:

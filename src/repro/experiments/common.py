@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.cache import MISS, disk_cache, register_cache
 from repro.dbt import DBTEngine, RunMetrics, check_against_reference
@@ -202,23 +202,6 @@ def run_benchmark(name: str, stage: str, backend: str = "interp") -> RunMetrics:
         raise ExecutionError(f"{name}/{stage}: translated execution diverged: {message}")
     _RUN_CACHE[(name, stage, backend)] = result.metrics
     return result.metrics
-
-
-def _run_benchmark_job(job: Tuple[str, str]) -> RunMetrics:
-    """Worker entry point for the parallel leave-one-out sweep."""
-    return run_benchmark(*job)
-
-
-def run_stage_metrics(stage: str) -> Dict[str, RunMetrics]:
-    pending = [
-        n for n in BENCHMARK_NAMES if (n, stage, "interp") not in _RUN_CACHE
-    ]
-    if get_jobs() > 1 and len(pending) > 1:
-        warm_learning()
-        jobs = [(name, stage) for name in pending]
-        for job, metrics in zip(jobs, parallel_map(_run_benchmark_job, jobs)):
-            _RUN_CACHE[job] = metrics
-    return {name: run_benchmark(name, stage) for name in BENCHMARK_NAMES}
 
 
 def geomean(values: Sequence[float]) -> float:

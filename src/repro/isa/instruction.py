@@ -14,7 +14,7 @@ and the symbolic executor.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, FrozenSet, Optional, Tuple
 
 from repro.isa.operands import Operand, OperandKind, operand_kinds
@@ -145,7 +145,3 @@ class InstructionDef:
     def accepts(self, kinds: Tuple[OperandKind, ...]) -> bool:
         """Whether an operand-kind shape is a legal encoding of this def."""
         return kinds in self.signatures
-
-    @property
-    def sets_flags(self) -> bool:
-        return bool(self.flags_set)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import UnknownInstructionError
-from repro.isa.instruction import Instruction, InstructionDef, Subgroup
+from repro.isa.instruction import Instruction, InstructionDef
 
 
 @dataclass
@@ -47,21 +47,6 @@ class ISA:
 
     def defn(self, insn: Instruction) -> InstructionDef:
         return self.lookup(insn.mnemonic)
-
-    def is_register(self, name: str) -> bool:
-        return name in self._register_set
-
-    @property
-    def _register_set(self) -> frozenset:
-        cached = getattr(self, "_register_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.registers)
-            object.__setattr__(self, "_register_set_cache", cached)
-        return cached
-
-    def subgroup_members(self, subgroup: Subgroup) -> Tuple[InstructionDef, ...]:
-        """All definitions classified into *subgroup*."""
-        return tuple(d for d in self.defs.values() if d.subgroup is subgroup)
 
     def validate(self, insn: Instruction) -> InstructionDef:
         """Check an instruction against its definition; return the def."""

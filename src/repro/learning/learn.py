@@ -44,9 +44,6 @@ class LearnStats:
     extraction_losses: Dict[str, int] = field(default_factory=dict)
     verification_losses: Dict[str, int] = field(default_factory=dict)
 
-    def as_row(self) -> Tuple[str, int, int, int, int]:
-        return (self.name, self.statements, self.candidates, self.learned, self.unique)
-
 
 @dataclass
 class PairLearning:

@@ -105,12 +105,6 @@ class RuleSet:
     def single_instruction_rules(self) -> List[TranslationRule]:
         return [rule for rule in self.rules if rule.guest_length == 1]
 
-    def merged_with(self, other: "RuleSet") -> "RuleSet":
-        merged = RuleSet()
-        merged.extend(self.rules)
-        merged.extend(other.rules)
-        return merged
-
     def copy(self) -> "RuleSet":
         duplicate = RuleSet()
         duplicate.extend(self.rules)

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.arm.opcodes import ARM
 from repro.isa.instruction import Subgroup
-from repro.isa.operands import OperandKind as K
 
 
 @dataclass(frozen=True)
@@ -138,20 +137,6 @@ def parameterizable_opcodes(subgroup: Subgroup) -> Tuple[str, ...]:
         for name, d in ARM.defs.items()
         if d.subgroup is subgroup and name in OPCODE_MAP
     )
-
-
-def subgroup_of(mnemonic: str) -> Subgroup:
-    return ARM.lookup(mnemonic).subgroup
-
-
-def legal_kind_shapes(mnemonic: str) -> Tuple[Tuple[K, ...], ...]:
-    """Operand-kind shapes the guest ISA accepts for *mnemonic*.
-
-    ISA signatures already encode the §IV-B guidelines: no immediate
-    destinations, no memory operands on RISC ALU instructions, memory-only
-    load sources and store targets.
-    """
-    return ARM.lookup(mnemonic).signatures
 
 
 #: Memory-operand sub-shapes enumerated by addressing-mode parameterization.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.isa.arm.opcodes import ARM
-from repro.isa.instruction import Instruction, Subgroup
+from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Mem, OperandKind as K, Reg
 
 #: Probe values used when materializing targets for verification.
@@ -156,14 +156,3 @@ def shape_of_instruction(insn: Instruction) -> TargetShape:
         slot_of.setdefault(name, len(slot_of))
         pattern.append(slot_of[name])
     return TargetShape(tuple(operands), tuple(pattern))
-
-
-def shape_count(subgroup: Subgroup) -> int:
-    """Total target count for a subgroup (diagnostics)."""
-    from repro.param.classify import parameterizable_opcodes
-
-    return sum(
-        1
-        for mnemonic in parameterizable_opcodes(subgroup)
-        for _ in enumerate_shapes(mnemonic)
-    )

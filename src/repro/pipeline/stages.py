@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.castore import atomic_write_text
 from repro.errors import ReproError
-from repro.pipeline.artifacts import BUILT, HIT, ArtifactStore, artifact_digest
+from repro.pipeline.artifacts import HIT, ArtifactStore, artifact_digest
 from repro.pipeline.manifest import (
     RULESET_FORMAT,
     serving_ruleset_from_body,
@@ -60,7 +60,6 @@ class PipelineConfig:
     benchmarks: Optional[Tuple[str, ...]] = None
     verify_programs: int = 25
     verify_seed: int = 0
-    backend: str = "jit"
 
     def resolved_store_dir(self) -> str:
         return self.store_dir or str(Path(self.workdir) / "rulesets")
@@ -153,7 +152,6 @@ class Pipeline:
             derive_digest,
             self.config.verify_programs,
             self.config.verify_seed,
-            self.config.backend,
         )
         verify = run_stage(
             "verify", verify_digest, lambda: self._build_verify(body)
@@ -284,7 +282,6 @@ class Pipeline:
             benchmarks=body["benchmarks"],
             programs=self.config.verify_programs,
             seed=self.config.verify_seed,
-            backend=self.config.backend,
         )
 
     def _build_publish(

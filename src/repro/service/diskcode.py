@@ -11,8 +11,9 @@ other worker should get a warm source-level hit.
 (entry format, fault model and claim-or-wait live there): it keys
 :func:`generate_block_source` output by ``(unit digest, stage, block start,
 training corpus, pipeline version, codegen version)`` and decodes entries
-back into :class:`BlockSource`/:class:`TraceSource`, whose payload checks
-reject a malformed entry before it can reach ``compile()``.
+back into :class:`BlockSource`, whose payload check rejects a malformed
+entry before it can reach ``compile()``.  Only block source is stored:
+the service runs the jit backend, which forms no traces.
 
 Workers recompile cached source locally with
 :func:`repro.dbt.compiler.compile_block_source` — only ``compile()`` of
@@ -30,7 +31,6 @@ from repro import fslock
 from repro.cache import PIPELINE_VERSION
 from repro.castore import CAStore, canonical_digest
 from repro.dbt.compiler import BLOCK_CODEGEN_VERSION, BlockSource
-from repro.dbt.trace import TRACE_CODEGEN_VERSION, TraceSource
 
 #: Bump when the generated-code shape changes incompatibly (new run
 #: calling convention, different namespace contract): stale entries from
@@ -86,30 +86,6 @@ class DiskCodeCache:
             training,
         )
 
-    def trace_key(
-        self,
-        unit_digest: str,
-        stage: str,
-        block_starts: Tuple[int, ...],
-        training: str,
-    ) -> str:
-        """Content digest for one superblock's generated trace source.
-
-        Traces are content-addressed exactly like blocks, with the
-        constituent block-start tuple standing in for the single start and
-        the trace codegen version mixed in so a trace-calling-convention
-        change can never resurrect stale entries.
-        """
-        return canonical_digest(
-            DISKCODE_VERSION,
-            PIPELINE_VERSION,
-            TRACE_CODEGEN_VERSION,
-            unit_digest,
-            stage,
-            list(block_starts),
-            training,
-        )
-
     def entry_path(self, digest: str) -> Path:
         return self._store.entry_path(digest)
 
@@ -122,13 +98,9 @@ class DiskCodeCache:
         """The cached block source for *digest*, or None."""
         return self._store.load(digest, BlockSource.from_payload)
 
-    def load_trace(self, digest: str) -> Optional[TraceSource]:
-        """The cached trace source for *digest*, or None."""
-        return self._store.load(digest, TraceSource.from_payload)
-
-    def store(self, digest: str, source) -> bool:
-        """Publish generated source (``BlockSource`` or ``TraceSource``);
-        False if already present or unwritable."""
+    def store(self, digest: str, source: BlockSource) -> bool:
+        """Publish generated block source; False if already present or
+        unwritable."""
         return self._store.store(digest, source.to_payload())
 
     def get_or_build(
@@ -161,35 +133,3 @@ class DiskCodeCache:
         # codegen performed by this process
         counters["generations"] = counters.pop("builds")
         return {"directory": str(self.root), **counters}
-
-
-class TraceSourceDiskAdapter:
-    """Binds a :class:`DiskCodeCache` to one (unit, stage, training) so the
-    engine's ``trace_source_cache`` protocol — ``get(block_starts)`` /
-    ``put(block_starts, source)`` — resolves to content-addressed disk
-    entries.  Trace formation is rare (a few per hot program) and already
-    off the hot path, so plain load/store without the claim protocol is
-    enough: a cross-process race costs one duplicated codegen, and
-    ``store``'s present-check keeps the published entry stable.
-    """
-
-    __slots__ = ("disk", "unit_digest", "stage", "training")
-
-    def __init__(
-        self, disk: DiskCodeCache, unit_digest: str, stage: str, training: str
-    ) -> None:
-        self.disk = disk
-        self.unit_digest = unit_digest
-        self.stage = stage
-        self.training = training
-
-    def _key(self, block_starts: Tuple[int, ...]) -> str:
-        return self.disk.trace_key(
-            self.unit_digest, self.stage, tuple(block_starts), self.training
-        )
-
-    def get(self, block_starts: Tuple[int, ...]) -> Optional[TraceSource]:
-        return self.disk.load_trace(self._key(block_starts))
-
-    def put(self, block_starts: Tuple[int, ...], source: TraceSource) -> None:
-        self.disk.store(self._key(block_starts), source)

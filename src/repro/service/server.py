@@ -90,11 +90,6 @@ class ServiceConfig:
     #: per-run guest block execution bound (runaway protection).
     max_blocks: int = 500_000
     chaining: bool = True
-    #: execution backend for ``run``/``coverage`` requests ("jit" or
-    #: "trace").  The trace tier forms superblocks within one request's
-    #: run; with a disk code cache their generated source is shared
-    #: cross-process, content-addressed like blocks.
-    backend: str = "jit"
     #: cross-process shared code cache directory; None disables the disk
     #: layer (generated source stays in-process only).  The pre-fork pool
     #: always sets this so sibling workers share compiled blocks.
@@ -108,7 +103,8 @@ class ServiceConfig:
     #: newly published versions.  None keeps the legacy train-at-boot path.
     ruleset_store: Optional[str] = None
     #: seconds between ``latest``-pointer polls; 0 disables the watcher
-    #: (reloads then happen only through the ``reload`` admin op).
+    #: (reloads then happen only through the ``reload`` admin op).  A
+    #: positive interval needs ``ruleset_store``.
     watch_interval: float = 0.0
 
     def __post_init__(self) -> None:
@@ -119,13 +115,17 @@ class ServiceConfig:
         """
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
-        if self.backend not in ("jit", "trace"):
-            raise ValueError(f"backend must be 'jit' or 'trace', got {self.backend!r}")
         for name in ("handlers", "max_queue", "cache_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.request_timeout > 0:
             raise ValueError(f"request_timeout must be > 0, got {self.request_timeout}")
+        if self.watch_interval < 0:
+            raise ValueError(f"watch_interval must be >= 0, got {self.watch_interval}")
+        if self.watch_interval > 0 and not self.ruleset_store:
+            raise ValueError(
+                f"watch_interval {self.watch_interval} needs a ruleset_store to poll"
+            )
 
 
 @dataclass
@@ -469,21 +469,12 @@ class TranslationService:
         entries: Dict[int, CodeCacheEntry],
     ):
         """Executor-side guest run over pre-seeded shared code-cache entries."""
-        backend = self.config.backend
-        engine_kwargs = {}
-        if backend == "trace" and self.disk_code is not None:
-            from repro.service.diskcode import TraceSourceDiskAdapter
-
-            engine_kwargs["trace_source_cache"] = TraceSourceDiskAdapter(
-                self.disk_code, ctx.digest, stage, self._training_key(gen)
-            )
         engine = DBTEngine(
             ctx.unit,
             gen.config_for(stage),
             chaining=self.config.chaining,
-            backend=backend,
+            backend="jit",
             code_cache=dict(entries),
-            **engine_kwargs,
         )
         try:
             return engine.run(max_blocks=self.config.max_blocks)
@@ -579,7 +570,6 @@ class TranslationService:
             "uptime_seconds": round(self.uptime(), 3),
             "stage_default": self.config.stage,
             "training": self.config.training,
-            "backend": self.config.backend,
             "ruleset_version": gen.ruleset.version,
             "ruleset": {
                 **gen.ruleset.identity(),

@@ -7,7 +7,7 @@ checker in :mod:`repro.verify.equivalence`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.symir.expr import BinOp, Const, Expr, Extract, Ite, Sym, UnOp, ZeroExt
 
@@ -138,117 +138,3 @@ def _postorder(expr: Expr) -> List[Expr]:
         elif isinstance(node, (Extract, ZeroExt)):
             stack.append((node.operand, False))
     return order
-
-
-def evaluate_many(expr: Expr, envs: Sequence[Mapping[str, int]]) -> List[int]:
-    """Evaluate *expr* under each environment in *envs*.
-
-    Equivalent to ``[evaluate(expr, env) for env in envs]`` but walks the
-    expression DAG once, computing all environments' values per node — the
-    per-node dispatch cost is paid once per distinct subterm instead of once
-    per (subterm, environment) pair.  Unlike :func:`evaluate`, both branches
-    of an :class:`Ite` are computed, so every free symbol (including those
-    only reachable through untaken branches) must be bound in every
-    environment.
-    """
-    columns: Dict[str, List[int]] = {}
-    for env in envs:
-        for name, value in env.items():
-            columns.setdefault(name, []).append(value)
-    return evaluate_columns(expr, columns, len(envs))
-
-
-def evaluate_columns(
-    expr: Expr, columns: Mapping[str, Sequence[int]], count: int
-) -> List[int]:
-    """Column-oriented :func:`evaluate_many`: one value list per symbol name.
-
-    Each column must have *count* entries; assignment ``i`` is row ``i``
-    across all columns.  Values are masked to each symbol's width on read,
-    matching :func:`evaluate`'s treatment of oversized environment values.
-    """
-    n = count
-    vals: Dict[Expr, List[int]] = {}
-    for node in _postorder(expr):
-        if isinstance(node, Const):
-            vals[node] = [node.value] * n
-        elif isinstance(node, Sym):
-            mask = node.mask()
-            vals[node] = [v & mask for v in columns[node.name]]
-        elif isinstance(node, BinOp):
-            ls = vals[node.lhs]
-            rs = vals[node.rhs]
-            width = node.lhs.width
-            mask = (1 << width) - 1
-            op = node.op
-            if op == "add":
-                out = [(l + r) & mask for l, r in zip(ls, rs)]
-            elif op == "sub":
-                out = [(l - r) & mask for l, r in zip(ls, rs)]
-            elif op == "mul":
-                out = [(l * r) & mask for l, r in zip(ls, rs)]
-            elif op == "and":
-                out = [l & r for l, r in zip(ls, rs)]
-            elif op == "or":
-                out = [l | r for l, r in zip(ls, rs)]
-            elif op == "xor":
-                out = [l ^ r for l, r in zip(ls, rs)]
-            elif op == "shl":
-                out = [
-                    (l << (r % width)) & mask if r < width else 0
-                    for l, r in zip(ls, rs)
-                ]
-            elif op == "lshr":
-                out = [l >> r if r < width else 0 for l, r in zip(ls, rs)]
-            elif op == "ashr":
-                out = [
-                    (_to_signed(l, width) >> min(r, width - 1)) & mask
-                    for l, r in zip(ls, rs)
-                ]
-            elif op == "eq":
-                out = [int(l == r) for l, r in zip(ls, rs)]
-            elif op == "ne":
-                out = [int(l != r) for l, r in zip(ls, rs)]
-            elif op == "ult":
-                out = [int(l < r) for l, r in zip(ls, rs)]
-            elif op == "ule":
-                out = [int(l <= r) for l, r in zip(ls, rs)]
-            elif op == "slt":
-                out = [
-                    int(_to_signed(l, width) < _to_signed(r, width))
-                    for l, r in zip(ls, rs)
-                ]
-            elif op == "sle":
-                out = [
-                    int(_to_signed(l, width) <= _to_signed(r, width))
-                    for l, r in zip(ls, rs)
-                ]
-            else:
-                raise ValueError(f"unknown binary operator: {op}")
-            vals[node] = out
-        elif isinstance(node, UnOp):
-            xs = vals[node.operand]
-            width = node.operand.width
-            mask = (1 << width) - 1
-            if node.op == "not":
-                vals[node] = [~x & mask for x in xs]
-            elif node.op == "neg":
-                vals[node] = [-x & mask for x in xs]
-            elif node.op == "clz":
-                vals[node] = [_clz(x, width) for x in xs]
-            else:
-                raise ValueError(f"unknown unary operator: {node.op}")
-        elif isinstance(node, Ite):
-            cs = vals[node.cond]
-            ts = vals[node.then]
-            os_ = vals[node.orelse]
-            vals[node] = [t if c else o for c, t, o in zip(cs, ts, os_)]
-        elif isinstance(node, Extract):
-            lo = node.lo
-            mask = node.mask()
-            vals[node] = [(x >> lo) & mask for x in vals[node.operand]]
-        elif isinstance(node, ZeroExt):
-            vals[node] = vals[node.operand]
-        else:
-            raise TypeError(f"unknown expression node: {node!r}")
-    return vals[expr]

@@ -2,10 +2,9 @@
 
 The randomized equivalence checker (:mod:`repro.verify.equivalence`)
 evaluates the same expression under thousands of assignments.  Interpreting
-the DAG per assignment — or even per chunk of assignments
-(:func:`repro.symir.evaluate.evaluate_columns`) — pays Python-level
-dispatch per node.  This module instead lowers an expression once to a
-generated Python function::
+the DAG per assignment (:func:`repro.symir.evaluate.evaluate`) pays
+Python-level dispatch per node.  This module instead lowers an expression
+once to a generated Python function::
 
     def _row_eval(rows):
         out = []

@@ -25,21 +25,21 @@ def verify_serving_configs(
     benchmarks: Sequence[str] = (),
     programs: int = 0,
     seed: int = 0,
-    backend: str = "jit",
     stage: str = DEFAULT_STAGE,
 ) -> Dict[str, Any]:
     """Differentially verify a candidate config map; returns a report dict.
 
     Runs every corpus benchmark program and ``programs`` seeded fuzzed
-    programs through ``configs[stage]`` under *backend*, diffing each final
-    state against the reference interpreter (:func:`repro.difftest.oracle
-    .run_oracle`).  Fuzzed programs the reference itself rejects (runaway
-    splices, wild branches) are counted as skipped, not failures.
+    programs through ``configs[stage]`` on the jit backend (the one the
+    service runs), diffing each final state against the reference
+    interpreter (:func:`repro.difftest.oracle.run_oracle`).  Fuzzed
+    programs the reference itself rejects (runaway splices, wild branches)
+    are counted as skipped, not failures.
 
     The report is JSON-serializable so the pipeline can persist it as the
     verify stage's artifact::
 
-        {"stage", "backend", "seed", "benchmarks", "checked", "skipped",
+        {"stage", "seed", "benchmarks", "checked", "skipped",
          "divergences": ["<program> [kind] detail", ...]}
     """
     from repro.difftest.gen import ProgramGenerator
@@ -53,7 +53,7 @@ def verify_serving_configs(
 
     for name in benchmarks:
         pair = compiled_benchmark(name)
-        outcome = run_oracle(pair.guest, config, backend=backend)
+        outcome = run_oracle(pair.guest, config, backend="jit")
         checked += 1
         if not outcome.ok:
             divergences.append(f"benchmark {name}: {outcome.divergence}")
@@ -62,7 +62,7 @@ def verify_serving_configs(
     for index in range(programs):
         program = generator.generate(index)
         try:
-            outcome = run_oracle(list(program.lines), config, backend=backend)
+            outcome = run_oracle(list(program.lines), config, backend="jit")
         except InvalidProgram:
             skipped += 1
             continue
@@ -72,7 +72,6 @@ def verify_serving_configs(
 
     return {
         "stage": stage,
-        "backend": backend,
         "seed": seed,
         "programs": programs,
         "benchmarks": list(benchmarks),

@@ -39,7 +39,7 @@ from repro.errors import VerificationError
 from repro.isa.flags import FLAG_NAMES
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg, RegList
-from repro.symir import Expr, Sym
+from repro.symir import Sym
 from repro.verify import shapeclass
 from repro.verify.equivalence import exprs_equal
 from repro.verify.symstate import SymbolicState, run_symbolic
@@ -72,16 +72,6 @@ class CheckResult:
         return tuple(
             f for f in FLAG_NAMES if self.flag_status.get(f) == FLAG_MISMATCH
         )
-
-    @property
-    def clobbered_flags(self) -> Tuple[str, ...]:
-        return tuple(
-            f for f in FLAG_NAMES if self.flag_status.get(f) == FLAG_CLOBBERED
-        )
-
-    @property
-    def equiv_flags(self) -> Tuple[str, ...]:
-        return tuple(f for f in FLAG_NAMES if self.flag_status.get(f) == FLAG_EQUIV)
 
 
 def collect_regs(instructions: Sequence[Instruction]) -> List[str]:

@@ -1,4 +1,4 @@
-"""Trace-tier tests: selection, formation, guards, retirement, persistence.
+"""Trace-tier tests: selection, formation, guards, retirement.
 
 The trace backend's correctness contract is the same as the jit backend's
 (see ``test_backend_difftest``): byte-identical architectural snapshots AND
@@ -6,9 +6,8 @@ byte-identical ``RunMetrics`` parity fields vs the interp oracle, no matter
 how many superblocks formed, guard exits fired, or traces were retired
 mid-run.  These tests pin the tier's moving parts individually — cycle
 selection on synthetic edge profiles, guard side-exits under a mid-run
-branch flip, retirement of pathological traces, cross-block flag-store
-elision, and the content-addressed trace-source persistence used by the
-service layer.
+branch flip, retirement of pathological traces, and cross-block
+flag-store elision.
 """
 
 import pytest
@@ -16,15 +15,12 @@ import pytest
 from repro.dbt import DBTEngine, TraceConfig
 from repro.dbt.loader import unit_from_assembly
 from repro.dbt.trace import (
-    TRACE_CODEGEN_VERSION,
-    TraceSource,
     _elided_flag_stores,
     parse_block,
     plan_junctions,
     select_cycle,
 )
 from repro.difftest.oracle import stage_config
-from repro.service.diskcode import DiskCodeCache, TraceSourceDiskAdapter
 
 _METRIC_FIELDS = (
     "host_counts",
@@ -249,70 +245,3 @@ class TestCycleSelection:
     def test_inner_cycle_not_through_head_is_rejected(self):
         edges = {(1, 2): 10, (2, 3): 10, (3, 2): 10}
         assert select_cycle(1, edges, self.CFG) is None
-
-
-class TestTraceSourcePersistence:
-    def _formed_trace(self, config):
-        unit = unit_from_assembly(COUNTDOWN)
-        engine = DBTEngine(
-            unit, config, backend="trace", trace_config=TraceConfig.aggressive()
-        )
-        engine.run()
-        assert engine._traces
-        return next(iter(engine._traces.values()))
-
-    def test_payload_roundtrip(self, config):
-        source = self._formed_trace(config).source
-        clone = TraceSource.from_payload(source.to_payload())
-        assert clone == source
-        assert clone.version == TRACE_CODEGEN_VERSION
-
-    def test_malformed_payloads_are_rejected(self, config):
-        payload = self._formed_trace(config).source.to_payload()
-        stale = dict(payload, version="trace-v0")
-        with pytest.raises(ValueError):
-            TraceSource.from_payload(stale)
-        broken = dict(payload, block_starts=["2", "4"])
-        with pytest.raises(ValueError):
-            TraceSource.from_payload(broken)
-
-    def test_disk_adapter_roundtrip(self, config, tmp_path):
-        source = self._formed_trace(config).source
-        disk = DiskCodeCache(tmp_path / "codecache")
-        adapter = TraceSourceDiskAdapter(disk, "unit-digest", "condition", "quick")
-        assert adapter.get(source.block_starts) is None
-        adapter.put(source.block_starts, source)
-        assert adapter.get(source.block_starts) == source
-        # Other key components miss: different starts, stage, or unit.
-        assert adapter.get(source.block_starts + (99,)) is None
-        other_stage = TraceSourceDiskAdapter(
-            disk, "unit-digest", "opcode", "quick"
-        )
-        assert other_stage.get(source.block_starts) is None
-        other_unit = TraceSourceDiskAdapter(
-            disk, "other-digest", "condition", "quick"
-        )
-        assert other_unit.get(source.block_starts) is None
-
-    def test_engine_reuses_shared_trace_source(self, config, tmp_path):
-        unit = unit_from_assembly(COUNTDOWN)
-        disk = DiskCodeCache(tmp_path / "codecache")
-        adapters = [
-            TraceSourceDiskAdapter(disk, "countdown", "condition", "quick")
-            for _ in range(2)
-        ]
-        ref = DBTEngine(unit, config, backend="interp").run()
-        results = []
-        for adapter in adapters:
-            engine = DBTEngine(
-                unit, config, backend="trace",
-                trace_config=TraceConfig.aggressive(),
-                trace_source_cache=adapter,
-            )
-            results.append(engine.run())
-        # Second engine formed its trace from the first engine's published
-        # source — and execution stays byte-identical either way.
-        assert disk.stats()["writes"] == 1
-        assert disk.stats()["hits"] >= 1
-        for lap, result in enumerate(results):
-            _assert_parity(ref, result, f"shared-source engine {lap}")

@@ -42,7 +42,8 @@ def service_setup():
         ("request_timeout", -1.0),
         ("cache_blocks", 0),
         ("stage", "nope"),
-        ("backend", "interp"),
+        ("watch_interval", -1.0),
+        ("watch_interval", 1.0),  # no ruleset_store to poll
     ],
 )
 def test_service_config_rejects_bad_values(field, value):
