@@ -76,6 +76,7 @@ the shared semantics function, which is always correct.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
@@ -920,6 +921,7 @@ class CompiledBlock:
         "rule_agg",
         "host_counts",
         "start",
+        "__weakref__",
     )
 
     def __init__(
@@ -1054,7 +1056,8 @@ def compile_block_source(
         ns[f"_i{k}"] = insn
     code = compile(source.text, f"<dbt-block@{tb.start:#x}>", "exec")
     exec(code, ns)  # noqa: S102 - source generated from our own IR
-    return CompiledBlock(tb, ns["_block"], source.host_counts)
+    # Popped, not read: a function left in its own globals is a cycle.
+    return CompiledBlock(tb, ns.pop("_block"), source.host_counts)
 
 
 def bind_block(
@@ -1065,9 +1068,12 @@ def bind_block(
 ) -> CompiledBlock:
     """Bind one translated block into its template form (no ``compile()``).
 
-    A path-uniform block gets :func:`_template_runner`, with *tier_up*
-    called on its *after*-th execution when given; any other block gets
-    the guarded form, which never tiers up.
+    A path-uniform block gets :func:`_template_runner`, which on its
+    *after*-th execution calls ``tier_up(ref, st, counts)`` when *tier_up*
+    is given, *ref* being a weak reference to the returned block: the
+    runner is reachable from the block, so a strong reference back would
+    make every dropped block cyclic garbage.  Any other block gets the
+    guarded form, which never tiers up.
     """
     defs = _block_defs(tb, defs)
     if not tb.host:
@@ -1089,7 +1095,11 @@ def bind_block(
         exit_fn = None if pred is None else _PRED_FN[pred]
         runs.append((fns, exit_fn, _FELL if taken is None else taken, fall))
     STATS.incr(jit_blocks_bound=1)
-    return CompiledBlock(tb, _template_runner(runs, tier_up, after), host_counts)
+    cb = CompiledBlock(tb, None, host_counts)
+    if tier_up is not None:
+        tier_up = partial(tier_up, weakref.ref(cb))
+    cb.execute = _template_runner(runs, tier_up, after)
+    return cb
 
 
 def compile_block(

@@ -31,6 +31,7 @@ failure mode of the old ``id(tb)``-keyed defs cache in the executor).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -172,6 +173,12 @@ class DBTEngine:
         self.code_cache: Dict[int, CodeCacheEntry] = (
             code_cache if code_cache is not None else {}
         )
+        if code_cache is None:
+            # Chain maps link the blocks of every loop into a reference
+            # cycle; cut them when the engine goes, so reference counting
+            # frees its code cache at once.  Injected entries are shared
+            # with other engines and keep theirs.
+            weakref.finalize(self, _unchain, self.code_cache)
         self._chained_edges: set = set()
         #: blocks bound into template form during the current run, each
         #: with its template runner; :meth:`run` tiers up the ones still on
@@ -214,7 +221,7 @@ class DBTEngine:
             cb = bind_block(
                 entry.tb,
                 entry.kernel.defs,
-                partial(_tier_up, entry, "jit_tierups_count"),
+                partial(_tier_up, entry.kernel.defs, "jit_tierups_count"),
                 TIER_UP_EXECUTIONS,
             )
             entry.compiled = cb
@@ -229,7 +236,12 @@ class DBTEngine:
         for entry, runner in self._cold:
             cb = entry.compiled
             if cb.execute is runner:
-                cb.execute = partial(_tier_up, entry, "jit_tierups_reuse")
+                cb.execute = partial(
+                    _tier_up,
+                    entry.kernel.defs,
+                    "jit_tierups_reuse",
+                    weakref.ref(cb),
+                )
         self._cold.clear()
 
     def run(
@@ -685,22 +697,33 @@ class DBTEngine:
         return True
 
 
-def _tier_up(entry: CodeCacheEntry, stat: str, state, counts) -> None:
+def _tier_up(defs, stat: str, ref, state, counts) -> None:
     """Promote a template-form block to its inline form in place, then run
-    it: chain maps and the run's ``execs`` keep the same object."""
-    cb = entry.compiled
-    cb.execute = compile_block(entry.tb, entry.kernel.defs).execute
+    it: chain maps and the run's ``execs`` keep the same object.  The
+    block holds this trigger, so the trigger reaches the block only
+    through the weak reference *ref*; the caller running the block keeps
+    it alive."""
+    cb = ref()
+    cb.execute = compile_block(cb.tb, defs).execute
     STATS.incr(**{stat: 1})
     cb.execute(state, counts)
+
+
+def _unchain(code_cache: Dict[int, CodeCacheEntry]) -> None:
+    """Clear the chain maps of a dropped engine's own blocks."""
+    for entry in code_cache.values():
+        if entry.compiled is not None:
+            entry.compiled.chain.clear()
 
 
 def _fold_blocks(metrics: RunMetrics, execs: Dict[CompiledBlock, int]) -> None:
     """Add each block's constant per-execution counts times its executions.
 
-    Block code counts nothing (guarded blocks aside, whose ``host_counts``
-    is empty because they count per run), so this is where
-    a jit run's guest, covered, rule-hit and host-instruction totals come
-    from.  A block that faulted never reached ``execs``.
+    Block code counts nothing (guarded blocks aside: their ``host_counts``
+    is empty because the interpreter counts their host instructions one by
+    one as they run), so this is where a jit run's guest, covered,
+    rule-hit and host-instruction totals come from.  A block that faulted
+    never reached ``execs``.
     """
     hits = metrics.rule_hits
     host_counts = metrics.host_counts

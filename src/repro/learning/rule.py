@@ -351,18 +351,23 @@ class TranslationRule:
             op.name for insn in window for op in insn.operands if isinstance(op, Label)
         ]
 
+        # Two closures, not one recursive one: a closure that calls itself
+        # refers to itself, a cycle only the cyclic collector frees.
+        def reg_operand(op: Reg) -> Operand:
+            if op.name in inverse:
+                return host_reg(guest_of_template[inverse[op.name]])
+            if op.name in temp_index:
+                return scratch(temp_index[op.name])
+            raise RuleError(f"host register {op.name!r} outside rule mapping")
+
         def host_operand(op: Operand) -> Operand:
             if isinstance(op, Reg):
-                if op.name in inverse:
-                    return host_reg(guest_of_template[inverse[op.name]])
-                if op.name in temp_index:
-                    return scratch(temp_index[op.name])
-                raise RuleError(f"host register {op.name!r} outside rule mapping")
+                return reg_operand(op)
             if isinstance(op, Imm):
                 return Imm(imm_of_slot[op.value]) if self.imm_generalized else op
             if isinstance(op, Mem):
-                base = host_operand(op.base) if op.base is not None else None
-                index = host_operand(op.index) if op.index is not None else None
+                base = reg_operand(op.base) if op.base is not None else None
+                index = reg_operand(op.index) if op.index is not None else None
                 disp = imm_of_slot[op.disp] if self.imm_generalized else op.disp
                 if base is not None and not isinstance(base, Reg):
                     raise RuleError("memory base must instantiate to a register")

@@ -100,21 +100,24 @@ class LatencyHistogram:
         """One histogram holding the union of several raw payloads.
 
         Payloads whose bucket layout doesn't match this build's (a worker
-        from another version) are skipped rather than misbinned.
+        from another version) are skipped rather than misbinned, and so is
+        a malformed payload: all of it is read before any of it is added.
         """
         hist = cls()
         for payload in payloads:
             try:
-                buckets = payload["buckets"]
-                if len(buckets) != len(hist._counts):
-                    continue
-                for i, n in enumerate(buckets):
-                    hist._counts[i] += int(n)
-                hist.count += int(payload["count"])
-                hist.total += float(payload["total"])
-                hist.max = max(hist.max, float(payload["max"]))
+                buckets = [int(n) for n in payload["buckets"]]
+                count = int(payload["count"])
+                total = float(payload["total"])
+                peak = float(payload["max"])
             except (KeyError, TypeError, ValueError):
                 continue
+            if len(buckets) != len(hist._counts):
+                continue
+            hist._counts = [a + b for a, b in zip(hist._counts, buckets)]
+            hist.count += count
+            hist.total += total
+            hist.max = max(hist.max, peak)
         return hist
 
 

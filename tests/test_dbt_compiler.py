@@ -549,10 +549,10 @@ class TestTierUp:
         tb = self._tb()
         calls = []
 
-        def tier_up(state, counts):
+        def tier_up(ref, state, counts):
             calls.append(state.regs["g_r0"])
-            cb.execute = compile_block(tb).execute
-            cb.execute(state, counts)
+            ref().execute = compile_block(tb).execute
+            ref().execute(state, counts)
 
         cb = bind_block(tb, tier_up=tier_up, after=3)
         assert cb.host_counts == block_host_counts(tb)

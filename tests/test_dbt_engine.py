@@ -5,9 +5,13 @@ configuration, the DBT engine's final architectural state must match the
 reference interpreter's.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dbt import DBTEngine, check_against_reference
+from repro.dbt.engine import TIER_UP_EXECUTIONS
 from repro.dbt.guest_interp import GuestInterpreter
 from repro.lang import compile_pair
 from repro.param import STAGES, build_setup
@@ -145,32 +149,44 @@ class TestEngineBehaviour:
         assert result.metrics.host_counts == expected.metrics.host_counts
 
 
+def _loop_unit(iterations: int):
+    from repro.dbt import unit_from_assembly
+
+    return unit_from_assembly(
+        "fn_main:\n"
+        "  mov r0, #0\n"
+        "loop:\n"
+        "  add r0, r0, #1\n"
+        f"  cmp r0, #{iterations}\n"
+        "  blt loop\n"
+        "  bx lr\n"
+    )
+
+
+def _qemu_jit(unit, **kwargs) -> DBTEngine:
+    from repro.dbt.translator import TranslationConfig
+
+    return DBTEngine(
+        unit, TranslationConfig("qemu"), chaining=True, backend="jit", **kwargs
+    )
+
+
+def _chain_maps(engine):
+    return {
+        index: dict(entry.compiled.chain)
+        for index, entry in engine.code_cache.items()
+    }
+
+
 class TestTemplateTier:
     """Cold jit blocks run in template form and tier up to inline code."""
-
-    def _loop_unit(self):
-        from repro.dbt import unit_from_assembly
-        from repro.dbt.engine import TIER_UP_EXECUTIONS
-
-        return unit_from_assembly(
-            "fn_main:\n"
-            "  mov r0, #0\n"
-            "loop:\n"
-            "  add r0, r0, #1\n"
-            f"  cmp r0, #{2 * TIER_UP_EXECUTIONS}\n"
-            "  blt loop\n"
-            "  bx lr\n"
-        )
 
     def test_cold_run_bumps_process_stats(self, monkeypatch):
         from repro.cache import STATS, stats_payload
         from repro.dbt import compiler
-        from repro.dbt.translator import TranslationConfig
 
         monkeypatch.setattr(compiler, "_FACTORIES", {})  # every shape unseen
-        engine = DBTEngine(
-            self._loop_unit(), TranslationConfig("qemu"), chaining=True, backend="jit"
-        )
+        engine = _qemu_jit(_loop_unit(2 * TIER_UP_EXECUTIONS))
         before = STATS.snapshot()
         first = engine.run()
         cold = STATS.delta(before)
@@ -201,6 +217,124 @@ class TestTemplateTier:
         )
         assert again.architectural_snapshot() == first.architectural_snapshot()
         assert again.metrics.host_counts == first.metrics.host_counts
+
+
+class TestAcyclicGarbage:
+    """A dropped jit engine is freed by reference counting alone.
+
+    Tier-up triggers, chain maps and rule instantiation must leave no
+    reference cycle behind: cyclic garbage waits for a full collection,
+    which on the cold path costs more than the translation itself.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _assert_freed(run):
+        """*run()* runs a fresh engine and returns it with its result."""
+        run()  # first-use work (template factories, lookup tables) is not garbage
+        assert gc.collect() == 0
+        engine, result = run()
+        refs = [weakref.ref(e.compiled) for e in engine.code_cache.values()]
+        assert any(ref().chain for ref in refs)
+        del engine, result
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize(
+        "iterations, entries, stat",
+        [
+            (2 * TIER_UP_EXECUTIONS, ["fn_main"], "jit_tierups_count"),
+            # The later run starts at the loop, so the entry block is left
+            # holding its reuse trigger.
+            (10, ["fn_main", "loop"], "jit_tierups_reuse"),
+        ],
+        ids=["count", "reuse"],
+    )
+    def test_tiered_up_engine_is_acyclic(self, iterations, entries, stat):
+        from repro.cache import STATS
+
+        unit = _loop_unit(iterations)
+
+        def run():
+            engine = _qemu_jit(unit)
+            before = STATS.snapshot()
+            for entry in entries:
+                result = engine.run(entry)
+            assert getattr(STATS.delta(before), stat) >= 1
+            return engine, result
+
+        self._assert_freed(run)
+
+    def test_rule_translated_engine_is_acyclic(self, demo_pair, demo_setup):
+        from repro.isa.operands import Mem
+
+        config = demo_setup.configs["condition"]
+
+        def run():
+            engine = DBTEngine(demo_pair.guest, config, chaining=True, backend="jit")
+            result = engine.run()
+            assert any(
+                isinstance(op, Mem)
+                for entry in engine.code_cache.values()
+                for rule, _ in entry.tb.applied
+                for insn in rule.host
+                for op in insn.operands
+            )
+            return engine, result
+
+        self._assert_freed(run)
+
+
+class TestChainMaps:
+    def test_injected_cache_keeps_its_chain_maps(self):
+        """An engine over injected entries, as the serving layer builds one,
+        leaves the shared blocks' chain maps alone when it is dropped."""
+        unit = _loop_unit(10)
+        owner = _qemu_jit(unit)
+        owner.run()
+        engine = _qemu_jit(unit, code_cache=dict(owner.code_cache))
+        engine.run()
+        chains = _chain_maps(owner)
+        assert any(chains.values())
+        del engine
+        gc.collect()
+        assert _chain_maps(owner) == chains
+
+    def test_own_cache_is_unchained_when_dropped(self):
+        engine = _qemu_jit(_loop_unit(10))
+        engine.run()
+        blocks = [entry.compiled for entry in engine.code_cache.values()]
+        assert any(cb.chain for cb in blocks)
+        del engine  # freed by reference counting, no collection needed
+        assert not any(cb.chain for cb in blocks)
+
+    @pytest.mark.parametrize(
+        "iterations, runs", [(2 * TIER_UP_EXECUTIONS, 1), (10, 2)], ids=["count", "reuse"]
+    )
+    def test_promotion_keeps_the_chained_object(self, iterations, runs):
+        """Tier-up swaps ``execute`` in place, so the chain maps patched
+        before the promotion reach the promoted block."""
+        engine = _qemu_jit(_loop_unit(iterations))
+        for _ in range(runs):
+            engine.run()
+        loop = engine.unit.labels["loop"]
+        body = engine.code_cache[loop].compiled
+        assert body.execute.__name__ == "_block"
+        predecessors = [
+            index for index, chain in _chain_maps(engine).items() if chain.get(loop) is body
+        ]
+        assert len(predecessors) == 2  # the entry block and the loop itself
+        for chain in _chain_maps(engine).values():
+            for successor, cb in chain.items():
+                assert cb is engine.code_cache[successor].compiled
 
 
 class TestJitThroughput:

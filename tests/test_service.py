@@ -158,6 +158,20 @@ class TestStats:
         summary = LatencyHistogram().summary()
         assert summary["count"] == 0 and summary["p99_ms"] == 0.0
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda p: p.pop("count"), lambda p: p["buckets"].__setitem__(-1, "x")],
+        ids=["missing-count", "bad-bucket"],
+    )
+    def test_malformed_payload_is_not_half_merged(self, damage):
+        hist = LatencyHistogram()
+        hist.observe(0.002)
+        good = hist.raw_payload()
+        bad = hist.raw_payload()
+        damage(bad)
+        merged = LatencyHistogram.merged([good, bad])
+        assert merged.raw_payload() == good
+
     def test_endpoint_stats_counts(self):
         stats = EndpointStats()
         stats.observe("run", 0.01, ok=True)
