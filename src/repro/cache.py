@@ -397,10 +397,12 @@ def stats_payload(include_disk: bool = True) -> Dict[str, Any]:
     """
     from repro.dbt.trace import TRACE_STATS
     from repro.symir.expr import intern_table_size
+    from repro.verify.equivalence import sampler_stats
     from repro.verify.shapeclass import cross_check_stats
 
     cache = disk_cache()
     cross_check = cross_check_stats()
+    sampler = sampler_stats()
     payload: Dict[str, Any] = {
         "directory": str(cache.root),
         "enabled": cache.enabled,
@@ -412,6 +414,9 @@ def stats_payload(include_disk: bool = True) -> Dict[str, Any]:
         "verify": {
             "cross_checked": cross_check["checked"],
             "cross_failed": cross_check["failed"],
+            "pairs_sampled": sampler["sampled"],
+            "prefix_decided": sampler["prefix_decided"],
+            "compiled_scans": sampler["compiled_scans"],
         },
     }
     if include_disk:

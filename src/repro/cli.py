@@ -88,6 +88,7 @@ def _cmd_cache(args) -> int:
         stats_payload,
     )
     from repro.symir.expr import intern_table_size
+    from repro.verify.equivalence import sampler_stats
     from repro.verify.shapeclass import cross_check_stats
 
     cache = disk_cache()
@@ -127,6 +128,11 @@ def _cmd_cache(args) -> int:
     cross_check = cross_check_stats()
     print("shape-class cross-check (this process): "
           f"{cross_check['checked']} re-verified, {cross_check['failed']} diverged")
+    sampler = sampler_stats()
+    print("equivalence sampling (this process): "
+          f"{sampler['sampled']} pairs sampled, "
+          f"{sampler['prefix_decided']} decided in the prefix, "
+          f"{sampler['compiled_scans']} compiled scans")
     print("cyclic gc (this process):")
     for generation, stats in enumerate(gc_stats()):
         print(f"  gen {generation}: {stats['collections']} collections, "
@@ -295,7 +301,6 @@ def _cmd_serve(args) -> int:
             handlers=args.handlers,
             request_timeout=args.timeout,
             disk_code_dir=args.code_cache_dir,
-            chaining=not args.no_chaining,
             ruleset_store=args.ruleset_store,
             watch_interval=args.watch_interval,
         )
@@ -569,11 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "single-process server (pools set their own)")
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="per-request timeout in seconds")
-    serve.add_argument("--no-chaining", action="store_true",
-                       help="disable block chaining (chain links warm up "
-                            "across requests, so run metrics become "
-                            "cache-state-dependent; disable for strictly "
-                            "deterministic responses)")
     serve.add_argument("--ruleset-store", default=None, metavar="DIR",
                        help="versioned ruleset store (from `repro pipeline "
                             "run`); serve its latest version and accept "

@@ -836,7 +836,9 @@ def compile_trace_source(
         "exec",
     )
     exec(code, ns)  # noqa: S102 - source generated from our own IR
-    return CompiledTrace(parsed, source, ns["_trace"])
+    # Popped, as compile_block_source pops ``_block``: left in the
+    # namespace, the function would sit in its own globals, a cycle.
+    return CompiledTrace(parsed, source, ns.pop("_trace"))
 
 
 # -- formation (the engine's entry point) --------------------------------------

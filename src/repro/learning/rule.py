@@ -281,10 +281,24 @@ class TranslationRule:
         return len(self.guest)
 
     def key(self) -> CanonicalKey:
-        return guest_key(self.guest, with_values=not self.imm_generalized)
+        """The rule's index key, computed once per rule (cached like
+        :meth:`_instantiation_template`)."""
+        cached = self.__dict__.get("_key")
+        if cached is None:
+            cached = guest_key(self.guest, with_values=not self.imm_generalized)
+            object.__setattr__(self, "_key", cached)
+        return cached
 
     def canonical_identity(self) -> Tuple:
-        """Full dedup identity: guest key + canonical host template + flags."""
+        """Full dedup identity: guest key + canonical host template + flags.
+
+        Computed once per rule: :class:`~repro.learning.ruleset.RuleSet`
+        asks for it on every ``add``.  Its first element is :meth:`key`,
+        which is cached with it.
+        """
+        cached = self.__dict__.get("_identity")
+        if cached is not None:
+            return cached
         reg_index: Dict[str, int] = {}
         imm_slots: Dict[int, int] = {}
         guest_canon = _canonicalize(
@@ -299,7 +313,10 @@ class TranslationRule:
         host_canon = _canonicalize(
             self.host, host_index, dict(imm_slots), not self.imm_generalized, collect=False
         )
-        return (guest_canon, host_canon, tuple(sorted(self.flag_status)), self.constraints)
+        cached = (guest_canon, host_canon, tuple(sorted(self.flag_status)), self.constraints)
+        object.__setattr__(self, "_identity", cached)
+        object.__setattr__(self, "_key", guest_canon)
+        return cached
 
     # -- instantiation -----------------------------------------------------------
 

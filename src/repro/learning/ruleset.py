@@ -106,6 +106,15 @@ class RuleSet:
         return [rule for rule in self.rules if rule.guest_length == 1]
 
     def copy(self) -> "RuleSet":
-        duplicate = RuleSet()
-        duplicate.extend(self.rules)
-        return duplicate
+        """A mutable duplicate, also of a frozen set.
+
+        The rules, both indexes (with their order) and the identities are
+        what re-adding every rule in order would build, copied without
+        canonicalizing any rule again.
+        """
+        return RuleSet(
+            rules=list(self.rules),
+            _generalized=dict(self._generalized),
+            _specific=dict(self._specific),
+            _identities=set(self._identities),
+        )

@@ -23,7 +23,9 @@ Structure::
 * **Sharing** — all requests share one single-flight code cache
   (:mod:`repro.service.codecache`) and look rules up straight from the
   frozen per-stage :class:`~repro.learning.ruleset.RuleSet`: a hot program
-  is translated and compiled once, ever, per (program, stage).
+  is translated and compiled once, ever, per (program, stage).  What a
+  run patches while it executes (block chain maps) stays with that run,
+  so every response is a function of its request alone.
 * **Hot reload** — the serving ruleset lives in an immutable
   :class:`_Generation` (ruleset identity + per-stage configs + unit memo).
   Every request reads ``self._generation`` exactly once and carries that
@@ -52,6 +54,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cache import BoundedMemo, stats_payload
 from repro.dbt.compiler import (
+    CompiledBlock,
     block_host_counts,
     compile_block,
     compile_block_source,
@@ -89,7 +92,6 @@ class ServiceConfig:
     request_timeout: float = 30.0
     #: per-run guest block execution bound (runaway protection).
     max_blocks: int = 500_000
-    chaining: bool = True
     #: cross-process shared code cache directory; None disables the disk
     #: layer (generated source stays in-process only).  The pre-fork pool
     #: always sets this so sibling workers share compiled blocks.
@@ -468,13 +470,30 @@ class TranslationService:
         stage: str,
         entries: Dict[int, CodeCacheEntry],
     ):
-        """Executor-side guest run over pre-seeded shared code-cache entries."""
+        """Executor-side guest run over pre-seeded shared code-cache entries.
+
+        The run chains through per-request shells of the shared compiled
+        blocks (same code and counts, empty chain maps), so its chained
+        transfers, and with them its metrics, are those of a fresh engine
+        whatever earlier requests ran.  The shells are unchained when the
+        run ends, which keeps them free of reference cycles.
+        """
+        shells = {
+            index: CodeCacheEntry(
+                tb=entry.tb,
+                kernel=entry.kernel,
+                compiled=CompiledBlock(
+                    entry.tb, entry.compiled.execute, entry.compiled.host_counts
+                ),
+            )
+            for index, entry in entries.items()
+        }
         engine = DBTEngine(
             ctx.unit,
             gen.config_for(stage),
-            chaining=self.config.chaining,
+            chaining=True,
             backend="jit",
-            code_cache=dict(entries),
+            code_cache=shells,
         )
         try:
             return engine.run(max_blocks=self.config.max_blocks)
@@ -482,6 +501,9 @@ class TranslationService:
             raise ProtocolError("bad-program", f"execution failed: {exc}") from exc
         except ReproError as exc:
             raise ProtocolError("bad-program", f"translation failed: {exc}") from exc
+        finally:
+            for shell in shells.values():
+                shell.compiled.chain.clear()
 
     async def _run(self, obj: Dict[str, Any]):
         gen = self._generation  # one read: the whole request stays on it

@@ -69,51 +69,54 @@ def binop(op: str, lhs: Expr, rhs: Expr) -> Expr:
     if op in COMMUTATIVE_OPS and _canonical_key(rhs) < _canonical_key(lhs):
         lhs, rhs = rhs, lhs
 
-    zero = Const(0, lhs.width)
-    ones = Const((1 << lhs.width) - 1, lhs.width)
+    width = lhs.width
+    # The value of *rhs* when it is a constant of the operand width: the
+    # identities below compare it without building the constants.
+    k = rhs.value if type(rhs) is Const and rhs.width == width else None
+    ones = (1 << width) - 1
 
     if op == "add":
-        if rhs == zero:
+        if k == 0:
             return lhs
         # (add (add x c1) c2) -> (add x (c1+c2))
         if isinstance(rhs, Const) and isinstance(lhs, BinOp) and lhs.op == "add" and isinstance(lhs.rhs, Const):
             return binop("add", lhs.lhs, _fold("add", lhs.rhs, rhs))
     elif op == "sub":
-        if rhs == zero:
+        if k == 0:
             return lhs
         if lhs == rhs:
-            return zero
+            return Const(0, width)
         if isinstance(rhs, Const):
             return binop("add", lhs, Const(-rhs.value, rhs.width))
     elif op == "mul":
-        if rhs == zero:
-            return zero
-        if rhs == Const(1, lhs.width):
+        if k == 0:
+            return Const(0, width)
+        if k == 1:
             return lhs
     elif op == "and":
-        if rhs == zero:
-            return zero
-        if rhs == ones:
+        if k == 0:
+            return Const(0, width)
+        if k == ones:
             return lhs
         if lhs == rhs:
             return lhs
     elif op == "or":
-        if rhs == zero:
+        if k == 0:
             return lhs
-        if rhs == ones:
-            return ones
+        if k == ones:
+            return Const(ones, width)
         if lhs == rhs:
             return lhs
     elif op == "xor":
-        if rhs == zero:
+        if k == 0:
             return lhs
         if lhs == rhs:
-            return Const(0, lhs.width)
+            return Const(0, width)
     elif op in ("shl", "lshr", "ashr"):
-        if rhs == zero:
+        if k == 0:
             return lhs
-        if isinstance(rhs, Const) and rhs.value >= lhs.width and op != "ashr":
-            return Const(0, lhs.width)
+        if isinstance(rhs, Const) and rhs.value >= width and op != "ashr":
+            return Const(0, width)
     elif op == "eq":
         if lhs == rhs:
             return TRUE

@@ -1,26 +1,32 @@
-"""Closure-compiled row evaluators for sampling-based equivalence checks.
+"""Closure-compiled pair scanners for sampling-based equivalence checks.
 
 The randomized equivalence checker (:mod:`repro.verify.equivalence`)
-evaluates the same expression under thousands of assignments.  Interpreting
-the DAG per assignment (:func:`repro.symir.evaluate.evaluate`) pays
-Python-level dispatch per node.  This module instead lowers an expression
-once to a generated Python function::
+evaluates a guest/host expression pair under hundreds to thousands of
+assignments.  Interpreting the DAG per assignment
+(:func:`repro.symir.evaluate.evaluate`) pays Python-level dispatch per
+node.  This module instead lowers a pair once to a generated Python
+function that returns the index of the first row on which the two sides
+differ; for ``(a + b) ^ b`` against ``a``::
 
-    def _row_eval(rows):
-        out = []
-        append = out.append
-        for (r0, r1) in rows:
-            t0 = (r0 + r1) & 0xFFFFFFFF
-            append(1 if t0 == r1 else 0)
-        return out
+    def _pair_eval(rows):
+        for i, (r0, r1,) in enumerate(rows):
+            t0 = (r0 + r1) & 4294967295
+            t1 = t0 ^ r1
+            if t1 != r0:
+                return i
+        return -1
 
 and compiles it, so each assignment costs one pass of straight-line
 bytecode.  Generated arithmetic replicates :func:`repro.symir.evaluate.
 evaluate` bit-for-bit (masking, shift-out-of-range, signed compares, clz),
-and shared subterms are bound to one local (the walk is over the DAG).
-Compiled functions are memoized per ``(expr, names)`` — interned nodes make
-the key exact — so compilation amortizes across chunks, calls, and the many
-rule candidates that reduce to the same value expressions.
+and shared subterms, also those shared by the two sides, are bound to one
+local (the walk is over the union DAG).  Scanners are memoized per
+``(lhs, rhs, names)`` — interned nodes make the key exact.
+
+A ``compile()`` costs about as much as interpreting a few dozen rows, so
+the checker interprets a short prefix of its assignment stream first and
+asks for a scanner only when the pair agrees on all of it: most rejected
+pairs never reach this module.
 
 This is the same technique the DBT's execution backend uses for translated
 blocks (:mod:`repro.dbt.compiler`), applied to the offline pipeline.
@@ -34,10 +40,9 @@ from repro.cache import MISS, BoundedMemo
 from repro.symir.evaluate import _clz, _postorder
 from repro.symir.expr import BinOp, Const, Expr, Extract, Ite, Sym, UnOp, ZeroExt
 
-#: expr -> generated function, keyed with the symbol-name order the rows use.
+#: (lhs, rhs, names) -> generated scanner; *names* is the symbol order of
+#: the rows.
 _ROW_EVAL_MEMO = BoundedMemo(maxsize=8192, name="symir.row_eval")
-
-RowEvaluator = Callable[[Sequence[tuple]], List[int]]
 
 
 def _signed(operand: str, width: int) -> str:
@@ -138,41 +143,13 @@ def _build_refs(
     return ref, lines
 
 
-def _compile(source: str) -> Dict[str, object]:
+def _compile(source: str, name: str) -> Callable:
+    """The function *name* defined by *source*, popped out of its exec
+    namespace: left there, it would sit in its own globals, a cycle only
+    the cyclic collector frees once the memo drops it."""
     namespace: Dict[str, object] = {"_clz": _clz}
     exec(compile(source, "<rowcompile>", "exec"), namespace)
-    return namespace
-
-
-def row_evaluator(expr: Expr, names: Tuple[str, ...]) -> RowEvaluator:
-    """Compiled evaluator for *expr* over rows of values in *names* order.
-
-    ``fn(rows) == [evaluate(expr, dict(zip(names, row))) for row in rows]``
-    for rows whose values already fit each symbol's width (the assignment
-    generator clips them; symbol-width masking is additionally baked into
-    the generated reads, matching :func:`evaluate`).
-    """
-    key = (expr, names)
-    fn = _ROW_EVAL_MEMO.get(key)
-    if fn is not MISS:
-        return fn
-
-    ref, lines = _build_refs((expr,), names)
-    unpack = ", ".join(f"r{i}" for i in range(len(names)))
-    target = f"({unpack},)" if names else "_"
-    body = "\n".join(lines) if lines else "        pass"
-    source = (
-        "def _row_eval(rows):\n"
-        "    out = []\n"
-        "    append = out.append\n"
-        f"    for {target} in rows:\n"
-        f"{body}\n"
-        f"        append({ref[expr]})\n"
-        "    return out\n"
-    )
-    fn = _compile(source)["_row_eval"]
-    _ROW_EVAL_MEMO.put(key, fn)
-    return fn
+    return namespace.pop(name)
 
 
 PairEvaluator = Callable[[Sequence[tuple]], int]
@@ -207,6 +184,6 @@ def pair_evaluator(
         "            return i\n"
         "    return -1\n"
     )
-    fn = _compile(source)["_pair_eval"]
+    fn = _compile(source, "_pair_eval")
     _ROW_EVAL_MEMO.put(key, fn)
     return fn

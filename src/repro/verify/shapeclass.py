@@ -57,14 +57,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import MISS, BoundedMemo
 from repro.errors import VerificationError
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Label, Mem, Reg, RegList
+from repro.isa.operands import Imm, Label, Mem, Reg, RegList
 
-#: Canonical verdicts keyed by (ISA names, canonical insns, wanted flags).
+#: Canonical verdicts keyed by (ISA names, canonical shape, wanted flags).
 _SHAPE_MEMO = BoundedMemo(maxsize=4096, name="verify.shape_class")
 
 #: 1-in-N deterministic sampling of memo-served verdicts for the direct
@@ -120,12 +121,14 @@ def rename_registers(
     )
 
 
-def _canonical_rename(regs: List[str], pool: Sequence[str]) -> Optional[Dict[str, str]]:
+@lru_cache(maxsize=None)
+def _pool_set(pool: Tuple[str, ...]) -> frozenset:
+    return frozenset(pool)
+
+
+def _canonical_rename(regs: List[str], pool: Tuple[str, ...]) -> Optional[Dict[str, str]]:
     """First-occurrence renaming onto *pool*; None when not renamable."""
-    if len(regs) > len(pool):
-        return None
-    pool_set = set(pool)
-    if any(r not in pool_set for r in regs):
+    if len(regs) > len(pool) or not _pool_set(pool).issuperset(regs):
         return None
     return {r: pool[i] for i, r in enumerate(regs)}
 
@@ -142,18 +145,66 @@ def _canonical_labels(*sides: Sequence[Instruction]) -> Dict[str, str]:
     return labels
 
 
+def _shape(
+    insns: Sequence[Instruction], rename: Dict[str, str], labels: Dict[str, str]
+) -> Tuple:
+    """``rename_registers(insns, rename, labels)`` as plain tuples: equal
+    exactly when those instructions are equal, and cheaper to build and
+    hash than new instructions."""
+    items = []
+    for insn in insns:
+        ops = []
+        for op in insn.operands:
+            if isinstance(op, Reg):
+                ops.append(rename[op.name])
+            elif isinstance(op, Imm):
+                ops.append(("i", op.value))
+            elif isinstance(op, Mem):
+                ops.append((
+                    "m",
+                    rename[op.base.name] if op.base is not None else None,
+                    rename[op.index.name] if op.index is not None else None,
+                    op.disp,
+                    op.scale,
+                ))
+            elif isinstance(op, RegList):
+                ops.append(("rl", tuple(rename[r.name] for r in op.regs)))
+            elif isinstance(op, Label):
+                ops.append(("l", labels[op.name]))
+            else:
+                ops.append(op)
+        items.append((insn.mnemonic, tuple(ops)))
+    return tuple(items)
+
+
 @dataclass(frozen=True)
 class CanonicalPair:
     """A candidate pair in canonical registers and labels, with the inverse
-    register renamings (a verdict holds no label)."""
+    register renamings (a verdict holds no label).
 
-    guest_insns: Tuple[Instruction, ...]
-    host_insns: Tuple[Instruction, ...]
+    ``key`` is the canonical shape of both sides, built from the renamings
+    alone; the renamed instructions themselves (``guest_insns``,
+    ``host_insns``) are built only when asked for, i.e. on a memo miss.
+    """
+
+    key: Tuple
     guest_regs: List[str]
     host_regs: List[str]
     inv_guest: Dict[str, str]
     inv_host: Dict[str, str]
     identity: bool
+    #: (guest insns, host insns, guest renaming, host renaming, labels)
+    source: Tuple
+
+    @cached_property
+    def guest_insns(self) -> Tuple[Instruction, ...]:
+        insns, _, rename, _, labels = self.source
+        return insns if self.identity else rename_registers(insns, rename, labels)
+
+    @cached_property
+    def host_insns(self) -> Tuple[Instruction, ...]:
+        _, insns, _, rename, labels = self.source
+        return insns if self.identity else rename_registers(insns, rename, labels)
 
 
 def canonicalize_pair(
@@ -183,19 +234,13 @@ def canonicalize_pair(
         for k, v in rename.items()
     )
     return CanonicalPair(
-        guest_insns=(
-            guest_insns if identity
-            else rename_registers(guest_insns, g_rename, labels)
-        ),
-        host_insns=(
-            host_insns if identity
-            else rename_registers(host_insns, h_rename, labels)
-        ),
+        key=(_shape(guest_insns, g_rename, labels), _shape(host_insns, h_rename, labels)),
         guest_regs=[g_rename[r] for r in guest_regs],
         host_regs=[h_rename[r] for r in host_regs],
         inv_guest={v: k for k, v in g_rename.items()},
         inv_host={v: k for k, v in h_rename.items()},
         identity=identity,
+        source=(guest_insns, host_insns, g_rename, h_rename, labels),
     )
 
 
@@ -265,8 +310,7 @@ def check_shape_class(
             guest_regs, host_regs, wanted_flags,
         )
 
-    key = (guest_isa.name, host_isa.name, pair.guest_insns, pair.host_insns,
-           wanted_flags)
+    key = (guest_isa.name, host_isa.name, pair.key, wanted_flags)
     result = _SHAPE_MEMO.get(key)
     if result is MISS:
         result = search(

@@ -51,6 +51,7 @@ class TestCacheCli:
         assert "cache directory" in out and "disk entries" in out
         assert "cyclic gc" in out and "gen 2:" in out
         assert "shape-class cross-check" in out and "re-verified" in out
+        assert "equivalence sampling" in out and "compiled scans" in out
 
     def test_cache_stats_json(self, capsys):
         import json
@@ -68,9 +69,16 @@ class TestCacheCli:
         assert [sorted(gen) for gen in payload["gc"]] == [
             ["collected", "collections", "uncollectable"]
         ] * 3
-        # the shape-class soundness guard: memo-served verdicts re-verified
-        assert sorted(payload["verify"]) == ["cross_checked", "cross_failed"]
+        # the shape-class soundness guard: memo-served verdicts re-verified;
+        # and the sampler's mix: every sampled pair is decided in the
+        # interpreted prefix or by a compiled scan
+        assert sorted(payload["verify"]) == [
+            "compiled_scans", "cross_checked", "cross_failed",
+            "pairs_sampled", "prefix_decided",
+        ]
         assert payload["verify"]["cross_failed"] == 0
+        verify = payload["verify"]
+        assert verify["pairs_sampled"] == verify["prefix_decided"] + verify["compiled_scans"]
 
     def test_stats_payload_counts_cross_checks(self):
         from repro.cache import clear_all_caches, stats_payload
@@ -94,6 +102,29 @@ class TestCacheCli:
             shapeclass.set_cross_check(previous)
         assert after["cross_checked"] == before["cross_checked"] + 1
         assert after["cross_failed"] == before["cross_failed"]
+
+    def test_stats_payload_counts_sampled_pairs(self):
+        from repro.cache import stats_payload
+        from repro.symir import BinOp, Const, Sym
+        from repro.verify.equivalence import exprs_equal
+
+        x = Sym("stats_x")
+        pairs = (
+            # differs at the first row (x = 0): decided in the prefix
+            ((BinOp("add", x, Const(1)), x), "prefix_decided"),
+            # equal, but not by simplification: a compiled scan
+            ((BinOp("and", BinOp("or", x, Const(1)), Const(1)), Const(1)), "compiled_scans"),
+        )
+        for (lhs, rhs), counter in pairs:
+            before = stats_payload(include_disk=False)["verify"]
+            exprs_equal(lhs, rhs, seed=0x57A7)
+            after = stats_payload(include_disk=False)["verify"]
+            assert after["pairs_sampled"] == before["pairs_sampled"] + 1
+            assert after[counter] == before[counter] + 1
+            assert (
+                after["prefix_decided"] + after["compiled_scans"]
+                == before["prefix_decided"] + before["compiled_scans"] + 1
+            )
 
     def test_stats_payload_counts_full_collections(self):
         import gc

@@ -237,13 +237,15 @@ class TestAcyclicGarbage:
             gc.enable()
 
     @staticmethod
-    def _assert_freed(run):
-        """*run()* runs a fresh engine and returns it with its result."""
+    def _assert_freed(run, chained=True):
+        """*run()* runs a fresh engine and returns it with its result;
+        *chained* says that it leaves some chain map patched."""
         run()  # first-use work (template factories, lookup tables) is not garbage
         assert gc.collect() == 0
         engine, result = run()
         refs = [weakref.ref(e.compiled) for e in engine.code_cache.values()]
-        assert any(ref().chain for ref in refs)
+        refs += [weakref.ref(trace.fn) for trace in engine._traces.values()]
+        assert not chained or any(ref().chain for ref in refs[: len(engine.code_cache)])
         del engine, result
         assert [ref() for ref in refs] == [None] * len(refs)
         assert gc.collect() == 0
@@ -291,6 +293,29 @@ class TestAcyclicGarbage:
             return engine, result
 
         self._assert_freed(run)
+
+    def test_trace_tier_engine_is_acyclic(self):
+        """A dropped ``backend="trace"`` engine that formed a trace: the
+        trace function must not sit in its own globals."""
+        from repro.dbt.trace import TraceConfig
+        from repro.dbt.translator import TranslationConfig
+
+        unit = _loop_unit(200)
+
+        def run():
+            engine = DBTEngine(
+                unit,
+                TranslationConfig("qemu"),
+                chaining=True,
+                backend="trace",
+                trace_config=TraceConfig.aggressive(),
+            )
+            engine.run()
+            result = engine.run()
+            assert engine._traces and result.metrics.trace_entries >= 1
+            return engine, result
+
+        self._assert_freed(run, chained=False)
 
 
 class TestChainMaps:

@@ -170,10 +170,71 @@ class TestIndexPreference:
         assert rules.add(long_host) and rules.add(short_host)
         window = arm("sub r4, r4, r9")
         assert rules.lookup(window) is short_host
-        # A frozen copy, as served, rebuilds its index and keeps the winner.
+        # A frozen copy, as served, keeps the winner.
         served = rules.copy().freeze()
         assert served.lookup(window) is short_host
         assert reference_lookup(served, window) is short_host
+
+
+def _readded(rules: RuleSet) -> RuleSet:
+    """Reference copy: every rule added again, in order, to an empty set."""
+    fresh = RuleSet()
+    for rule in rules:
+        assert fresh.add(rule)
+    return fresh
+
+
+def _same_index(a, b) -> bool:
+    """Same keys in the same order, each owned by the same rule object."""
+    return list(a) == list(b) and all(a[key] is b[key] for key in a)
+
+
+class TestCopyAndIdentity:
+    def test_copy_equals_readding(self, training):
+        assert training.frozen
+        copy = training.copy()
+        reference = _readded(training)
+        assert len(copy) == len(training) > 0
+        assert all(a is b for a, b in zip(copy.rules, reference.rules))
+        assert _same_index(copy._generalized, reference._generalized)
+        assert _same_index(copy._specific, reference._specific)
+        assert copy._identities == reference._identities
+
+    def test_copy_equals_readding_with_slot_contention(self):
+        """Rules sharing a guest key: the index winners and the slot order of
+        a copy are those of re-adding (a later, shorter host wins)."""
+        rules = RuleSet()
+        for guest, host, mapping, imm_gen in (
+            ("add r0, r0, #4", "movl %eax, %ecx\naddl $4, %ecx\nmovl %ecx, %eax", {"r0": "eax"}, True),
+            ("sub r0, r0, r1", "subl %edx, %eax", {"r0": "eax", "r1": "edx"}, False),
+            ("add r0, r0, #4", "addl $4, %eax", {"r0": "eax"}, True),
+            ("add r0, r0, #4", "addl $4, %eax", {"r0": "eax"}, False),
+        ):
+            temps = ("ecx",) if "ecx" in host else ()
+            assert rules.add(make_rule(guest, host, mapping, imm_gen=imm_gen, temps=temps))
+        copy, reference = rules.copy(), _readded(rules)
+        assert _same_index(copy._generalized, reference._generalized)
+        assert _same_index(copy._specific, reference._specific)
+        assert copy.lookup(arm("add r2, r2, #8")).host == x86("addl $4, %eax")
+
+    def test_copy_of_a_frozen_set_is_mutable_and_separate(self, training):
+        copy = training.copy()
+        assert not copy.frozen
+        extra = make_rule("eor r0, r0, r0", "xorl %eax, %eax", {"r0": "eax"})
+        before = (len(training), dict(training._specific), set(training._identities))
+        copy.add(extra)
+        assert copy.lookup(arm("eor r6, r6, r6")) is not None
+        assert (len(training), dict(training._specific), set(training._identities)) == before
+
+    def test_cached_identity_is_a_fresh_computation(self, training):
+        for rule in training:
+            identity = rule.canonical_identity()
+            fresh = dataclasses.replace(rule)  # same fields, nothing cached
+            assert fresh == rule and "_identity" not in fresh.__dict__
+            assert fresh.canonical_identity() == identity
+            assert rule.canonical_identity() is identity
+            assert rule.key() == guest_key(rule.guest, with_values=not rule.imm_generalized)
+            assert rule.key() == identity[0]
 
 
 def test_service_serves_the_frozen_ruleset():

@@ -227,7 +227,11 @@ class TestServiceServer:
                 assert "process" in result["caches"]  # shared serializer payload
                 assert "jit_blocks_bound" in result["caches"]["process"]
                 assert len(result["caches"]["gc"]) == 3  # one per generation
-                assert result["caches"]["verify"]["cross_failed"] == 0
+                verify = result["caches"]["verify"]
+                assert verify["cross_failed"] == 0
+                assert verify["pairs_sampled"] == (
+                    verify["prefix_decided"] + verify["compiled_scans"]
+                )
                 writer.close()
             finally:
                 await server.aclose()
@@ -264,6 +268,40 @@ class TestServiceServer:
         divergence = diff_snapshots(reference, _normalize_snapshot(result["snapshot"]))
         assert divergence is None, f"{divergence.kind}: {divergence.detail}"
         assert result["metrics"]["guest_dynamic"] > 0
+
+    def test_repeated_run_answers_alike(self, service_setup):
+        """A ``run`` answers the same bytes however many runs the process
+        served before, with the chained transfers of a fresh engine: each
+        run chains through its own maps, never the shared blocks'."""
+        from repro.dbt import DBTEngine
+        from repro.workloads import compiled_benchmark
+
+        async def body():
+            server = await start_server(
+                ServiceConfig(port=0, handlers=2), setup=service_setup
+            )
+            try:
+                reader, writer = await _connect(server.port)
+                lines = []
+                for _ in range(3):
+                    writer.write(b'{"id": "r", "op": "run", "benchmark": "mcf"}\n')
+                    await writer.drain()
+                    lines.append(await reader.readline())
+                writer.close()
+                shared = list(server.service.code_cache._data.values())
+                return lines, shared, server.service.config_for("condition")
+            finally:
+                await server.aclose()
+
+        lines, shared, config = asyncio.run(body())
+        assert lines[0] == lines[1] == lines[2]
+        metrics = json.loads(lines[0])["result"]["metrics"]
+        engine = DBTEngine(
+            compiled_benchmark("mcf").guest, config, chaining=True, backend="jit"
+        )
+        fresh = engine.run().metrics
+        assert metrics["chained_executions"] == fresh.chained_executions > 0
+        assert shared and not any(entry.compiled.chain for entry in shared)
 
     def test_concurrent_identical_translates_single_flight(self, service_setup):
         """Two concurrent identical requests: byte-identical responses and

@@ -433,12 +433,9 @@ _OP_SPECS = (
 )
 
 
-#: Chaining is disabled on both equivalence servers: chain links warm up
-#: inside shared cache entries across requests, which makes the run
-#: metrics depend on how many prior runs a process served — correct, but
-#: not byte-stable.  Without chaining every response is a pure function
-#: of the request, which is exactly the property under test.
-_DETERMINISTIC = ("--no-chaining",)
+# Both equivalence servers chain blocks: each run gets fresh chain maps,
+# so a response is a pure function of its request, however many runs the
+# process served before, which is exactly the property under test.
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +445,6 @@ def solo_server(tmp_path_factory, shared_cache_dir):
         shared_cache_dir,
         workers=1,
         name="solo",
-        extra=_DETERMINISTIC,
     )
     yield handle
     handle.kill()
@@ -461,7 +457,6 @@ def pool_server(tmp_path_factory, shared_cache_dir):
         shared_cache_dir,
         workers=2,
         name="pool2",
-        extra=_DETERMINISTIC,
     )
     yield handle
     handle.kill()

@@ -16,7 +16,7 @@ from repro.symir.expr import (
     Ite,
     ZeroExt,
 )
-from repro.symir.rowcompile import pair_evaluator, row_evaluator
+from repro.symir.rowcompile import pair_evaluator
 
 U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -25,18 +25,17 @@ _ARITH_OPS = sorted(BINARY_OPS - COMPARISON_OPS)
 _CMP_OPS = sorted(COMPARISON_OPS)
 
 
-def exprs():
-    """Random well-formed 32-bit expressions (comparisons re-widened).
+def exprs(names=_NAMES):
+    """Random well-formed 32-bit expressions (comparisons re-widened) over
+    symbols named *names* (constants only when it is empty).
 
     Leaves are constructed at draw time, not strategy-build time: a Sym
     captured across a ``clear_all_caches()`` belongs to a dead interning
     epoch, and composites interned over it would break the ``is``-identity
     guarantee for later same-epoch nodes.
     """
-    leaf = st.one_of(
-        st.sampled_from(_NAMES).map(Sym),
-        U32.map(lambda v: Const(v)),
-    )
+    constant = U32.map(lambda v: Const(v))
+    leaf = st.one_of(st.sampled_from(names).map(Sym), constant) if names else constant
 
     def extend(children):
         binary = st.builds(
@@ -56,24 +55,6 @@ def exprs():
 rows_strategy = st.lists(
     st.tuples(U32, U32, U32), min_size=1, max_size=8
 )
-
-
-class TestRowEvaluator:
-    @settings(max_examples=200, deadline=None)
-    @given(expr=exprs(), rows=rows_strategy)
-    def test_matches_interpreter(self, expr, rows):
-        fn = row_evaluator(expr, _NAMES)
-        expected = [evaluate(expr, dict(zip(_NAMES, row))) for row in rows]
-        assert fn(rows) == expected
-
-    def test_constant_expression_no_symbols(self):
-        fn = row_evaluator(Const(7), ())
-        assert fn([()]) == [7]
-
-    def test_narrow_symbol_masks_on_read(self):
-        narrow = Sym("a", 8)
-        fn = row_evaluator(narrow, ("a",))
-        assert fn([(0x1FF,)]) == [0xFF]
 
 
 class TestPairEvaluator:
@@ -107,3 +88,7 @@ class TestPairEvaluator:
 
         assert fn(rows()) == 2
         assert consumed == [0, 0, 5], "scan must stop at the first difference"
+
+    def test_narrow_symbol_masks_on_read(self):
+        fn = pair_evaluator(Sym("a", 8), Const(0xFF, 8), ("a",))
+        assert fn([(0x1FF,), (0x100,)]) == 1

@@ -7,12 +7,13 @@ on that member would produce.
 """
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.cache import clear_all_caches
 from repro.isa.arm import ARM, assemble as arm
 from repro.isa.x86 import X86, assemble as x86
 from repro.verify import check_equivalence
-from repro.verify.checker import CheckResult
+from repro.verify.checker import CheckResult, collect_regs
 from repro.verify import shapeclass
 from repro.verify.shapeclass import (
     _SHAPE_MEMO,
@@ -23,6 +24,7 @@ from repro.verify.shapeclass import (
     rename_registers,
     set_cross_check,
 )
+from tests.strategies import arm_instructions, x86_instructions
 
 
 def check(guest: str, host: str, allow_temps: int = 0):
@@ -100,6 +102,7 @@ class TestLabelRenaming:
         )
         assert a.guest_insns == b.guest_insns
         assert a.host_insns == b.host_insns
+        assert a.key == b.key
         assert str(a.guest_insns[-1]) == "blt L0"
         assert str(a.host_insns[-1]) == "jl L0"
 
@@ -111,6 +114,7 @@ class TestLabelRenaming:
             ARM, X86, arm("bne .La"), x86("jne .Lb"), [], []
         )
         assert same.host_insns != crossed.host_insns
+        assert same.key != crossed.key
         assert str(crossed.host_insns[-1]) == "jne L1"
 
     def test_identity_requires_canonical_labels(self):
@@ -146,6 +150,53 @@ class TestLabelRenaming:
         assert _results_agree(served, direct)
         assert _results_agree(first, served)
         assert served.equivalent
+
+
+class TestShapeKey:
+    """The memo key is built without renaming any instruction; it must
+    tell pairs apart exactly as their renamed instructions would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_key_equal_iff_canonical_instructions_equal(self, data):
+        guests = st.lists(arm_instructions(), min_size=1, max_size=3).map(tuple)
+        hosts = st.lists(x86_instructions(), min_size=1, max_size=3).map(tuple)
+        guest, host = data.draw(guests), data.draw(hosts)
+        if data.draw(st.booleans()):
+            # a member of the same class: registers permuted within the pool
+            perm = dict(zip(ARM.allocatable, data.draw(st.permutations(ARM.allocatable))))
+            other_guest, other_host = rename_registers(guest, perm), host
+        else:
+            other_guest, other_host = data.draw(guests), data.draw(hosts)
+        a, b = (
+            canonicalize_pair(ARM, X86, g, h, collect_regs(g), collect_regs(h))
+            for g, h in ((guest, host), (other_guest, other_host))
+        )
+        assume(a is not None and b is not None)
+        same = (a.guest_insns, a.host_insns) == (b.guest_insns, b.host_insns)
+        assert (a.key == b.key) == same
+        assert (hash(a.key) == hash(b.key)) or not same
+
+    @pytest.mark.parametrize(
+        "host, other",
+        [
+            ("movl 4(%eax), %ecx", "movl 8(%eax), %ecx"),
+            ("movl (%eax,%ecx,2), %edx", "movl (%eax,%ecx,4), %edx"),
+            ("movl (%eax,%ecx,2), %edx", "movl 2(%eax), %edx"),
+            ("addl $4, %eax", "addl $8, %eax"),
+            ("addl %eax, %ecx", "addl %eax, %eax"),
+            ("addl %eax, %ecx", "subl %eax, %ecx"),
+        ],
+        ids=["disp", "scale", "index", "imm", "aliasing", "mnemonic"],
+    )
+    def test_pairs_differing_in_one_field_have_different_keys(self, host, other):
+        guest = arm("add r0, r0, r1")
+        a, b = (
+            canonicalize_pair(ARM, X86, guest, h, collect_regs(guest), collect_regs(h))
+            for h in (x86(host), x86(other))
+        )
+        assert a.host_insns != b.host_insns
+        assert a.key != b.key
 
 
 class TestRebase:
