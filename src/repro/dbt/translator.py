@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cache import BoundedMemo
 from repro.dbt import tcg
 from repro.dbt.block import Block, BlockMap
 from repro.dbt.runtime import (
@@ -61,6 +62,30 @@ _PC_PLACEHOLDER = "r_pc"
 
 #: Memo sentinel: ``None`` is a valid (negative) lookup resolution.
 _UNRESOLVED = object()
+
+
+class _WindowMatch:
+    """A window's rule and, once a block applies it, its host body.
+
+    ``rule.instantiate`` depends only on the rule and the window (the
+    operand maps it is given are this module's fixed functions), so the
+    body is computed on first use and then shared by every block, engine
+    and program that meets the same window under the same rule set.
+    """
+
+    __slots__ = ("rule", "body")
+
+    def __init__(self, rule) -> None:
+        self.rule = rule
+        self.body: Optional[Tuple[Instruction, ...]] = None
+
+
+#: ``(RuleSet.memo_token, *lookup window)`` -> :class:`_WindowMatch`, or
+#: ``None`` when no rule matches: one memo for every translator over a
+#: frozen rule set.  One ``cold-start`` seed (48 programs) leaves ~7.6k
+#: entries and the next seed adds ~5.5k, so the bound holds a seed's
+#: working set with room for the next.
+_WINDOWS = BoundedMemo(maxsize=1 << 14, name="dbt.translator.windows")
 
 
 @dataclass
@@ -109,7 +134,7 @@ class TranslatedBlock:
 class _Segment:
     pos: int
     length: int
-    rule: Optional[object] = None  # TranslationRule
+    match: Optional[_WindowMatch] = None
     window: Optional[Tuple[Instruction, ...]] = None  # lookup window (pc-rewritten)
     pc_value: Optional[int] = None
     #: flag handling annotations filled by cluster resolution.
@@ -121,6 +146,10 @@ class _Segment:
     def end(self) -> int:
         return self.pos + self.length
 
+    @property
+    def rule(self):  # TranslationRule or None
+        return self.match.rule if self.match is not None else None
+
 
 class BlockTranslator:
     def __init__(self, unit, blockmap: BlockMap, config: TranslationConfig) -> None:
@@ -128,36 +157,53 @@ class BlockTranslator:
         self.blockmap = blockmap
         self.config = config
         self.live_in_global = blockmap.live_in_flags()
-        self._window_rules: Dict[Tuple[Instruction, ...], object] = {}
         rules = config.rules
         self._lookup_canonical = rules.lookup_canonical if rules is not None else None
         #: window-length cap, computed once per translator (``max()`` over
         #: every rule is a measurable share of translate time per block).
         self._max_window = min(rules.max_guest_length(), 4) if rules is not None else 0
+        self._sequences = rules.sequences if rules is not None else frozenset()
+        # Window memo: shared for a frozen set, private while the set can
+        # still gain rules.  Plain closures (no reference to ``self``), so a
+        # dropped translator is freed by reference counting.  A shared key
+        # is the token followed by the window's instructions: one flat
+        # tuple per entry, and no window tuple kept alive beside it.
+        token = rules.memo_token if rules is not None else None
+        if token is not None:
+            prefix = (token,)
+            self._memo_get = lambda window: _WINDOWS.get(prefix + window, _UNRESOLVED)
+            self._memo_put = lambda window, match: _WINDOWS.put(prefix + window, match)
+        else:
+            local: Dict[Tuple[Instruction, ...], Optional[_WindowMatch]] = {}
+            self._memo_get = lambda window: local.get(window, _UNRESOLVED)
+            self._memo_put = local.__setitem__
 
     # -- planning ---------------------------------------------------------------
 
-    def _lookup_rule(self, lookup: Tuple[Instruction, ...]):
-        """Rule for a (pc-rewritten) window: fingerprint once, memo forever.
+    def _lookup_keys(self, general, specific) -> Optional[_WindowMatch]:
+        rule = self._lookup_canonical(general, specific)
+        return _WindowMatch(rule) if rule is not None else None
+
+    def _lookup_match(self, lookup: Tuple[Instruction, ...]) -> Optional[_WindowMatch]:
+        """Match for a (pc-rewritten) window: fingerprint once, memo forever.
 
         The canonical key pair is computed in a single pass
-        (:func:`window_keys`) and the resolution — rule or ``None`` — is
-        memoized on the window tuple.  Lookup is purely content-based, so a
-        resolution is valid for every block of this translator's run; PC
-        windows are safe too because the memo key is the *rewritten* window
-        (placeholder register, no concrete address).
+        (:func:`window_keys`) and the resolution — match or ``None`` — is
+        memoized on the window.  Lookup is purely content-based, so a
+        resolution is valid for every block translated over the same rule
+        set; PC windows are safe too because the memo key is the
+        *rewritten* window (placeholder register, no concrete address).
         """
-        memo = self._window_rules
-        rule = memo.get(lookup, _UNRESOLVED)
-        if rule is _UNRESOLVED:
+        match = self._memo_get(lookup)
+        if match is _UNRESOLVED:
             try:
                 general, specific = window_keys(lookup)
             except RuleError:
-                rule = None
+                match = None
             else:
-                rule = self._lookup_canonical(general, specific)
-            memo[lookup] = rule
-        return rule
+                match = self._lookup_keys(general, specific)
+            self._memo_put(lookup, match)
+        return match
 
     def _pc_rewrite(
         self, window: Tuple[Instruction, ...], abs_index: int
@@ -193,11 +239,13 @@ class BlockTranslator:
         All candidate lengths share one :func:`window_key_prefixes` walk
         (computed lazily, only when the memo has no answer), so a position
         is fingerprinted once no matter how many window lengths get probed.
+        A multi-instruction window whose mnemonics no rule spells
+        (:attr:`RuleSet.sequences`) is skipped before the memo: it cannot
+        match, and would otherwise be most of the memo's entries.
         PC-using windows keep the rewrite-then-memo route — their lookup
         window differs from the raw slice.
         """
-        lookup_canonical = self._lookup_canonical
-        memo = self._window_rules
+        memo_get = self._memo_get
         prefixes = None
         for length in range(limit, 0, -1):
             if any(defs[i + k].is_branch for k in range(length - 1)):
@@ -206,33 +254,35 @@ class BlockTranslator:
             if last.is_branch and last.cond is None:
                 continue  # unconditional transfers go through exits
             window = tuple(insns[i : i + length])
+            if length > 1 and tuple([insn.mnemonic for insn in window]) not in self._sequences:
+                continue  # no rule spells these mnemonics
             if any(pc_flags[i + k] for k in range(length)):
                 lookup, pc_value = self._pc_rewrite(window, block.start + i)
                 if lookup is None:
                     continue
-                rule = self._lookup_rule(lookup)
-                if rule is not None:
-                    return _Segment(i, length, rule, lookup, pc_value)
+                match = self._lookup_match(lookup)
+                if match is not None:
+                    return _Segment(i, length, match, lookup, pc_value)
                 continue
-            rule = memo.get(window, _UNRESOLVED)
-            if rule is _UNRESOLVED:
+            match = memo_get(window)
+            if match is _UNRESOLVED:
                 if prefixes is None:
                     prefixes = window_key_prefixes(window)
                 if length <= len(prefixes):
-                    general, specific = prefixes[length - 1]
-                    rule = lookup_canonical(general, specific)
+                    match = self._lookup_keys(*prefixes[length - 1])
                 else:
-                    rule = None
-                memo[window] = rule
-            if rule is not None:
-                return _Segment(i, length, rule, window, None)
+                    match = None
+                self._memo_put(window, match)
+            if match is not None:
+                return _Segment(i, length, match, window, None)
         return None
 
-    def _plan(self, insns: Sequence[Instruction], block: Block) -> List[_Segment]:
+    def _plan(
+        self, insns: Sequence[Instruction], defs, block: Block
+    ) -> List[_Segment]:
         n = len(insns)
         if self.config.rules is None:
             return [_Segment(i, 1) for i in range(n)]
-        defs = [ARM.defn(i) for i in insns]
         pc_flags = [
             any(isinstance(op, Reg) and op.name == "pc" for op in insn.operands)
             for insn in insns
@@ -263,9 +313,7 @@ class BlockTranslator:
             written |= defs[k].flags_set
         return frozenset(reads)
 
-    def _resolve_eager(
-        self, insns: Sequence[Instruction], segments: List[_Segment]
-    ) -> None:
+    def _resolve_eager(self, defs, segments: List[_Segment]) -> None:
         """Flag policy for configurations WITHOUT condition-flag delegation.
 
         Guest flags are kept architecturally current in the environment at
@@ -281,7 +329,6 @@ class BlockTranslator:
         (parameterized rules carry no flag behaviour before the condition
         stage).
         """
-        defs = [ARM.defn(i) for i in insns]
         index = 0
         while index < len(segments):
             segment = segments[index]
@@ -306,11 +353,8 @@ class BlockTranslator:
             segment.reader_ldf |= self._entry_read_flags(segment, defs)
             index += 1
 
-    def _resolve_clusters(
-        self, insns: Sequence[Instruction], segments: List[_Segment]
-    ) -> None:
-        defs = [ARM.defn(i) for i in insns]
-        n = len(insns)
+    def _resolve_clusters(self, defs, segments: List[_Segment]) -> None:
+        n = len(defs)
         seg_of: Dict[int, _Segment] = {}
         for segment in segments:
             for k in range(segment.pos, segment.end):
@@ -472,12 +516,9 @@ class BlockTranslator:
             seg_s.post_testl = True
             seg_s.post_stf |= liveout
 
-    def _resolve_entry_reads(
-        self, insns: Sequence[Instruction], segments: List[_Segment]
-    ) -> None:
+    def _resolve_entry_reads(self, defs, segments: List[_Segment]) -> None:
         """Rule windows reading flags no in-block instruction set must reload
         them from the environment (cross-block flag use; safety net)."""
-        defs = [ARM.defn(i) for i in insns]
         set_so_far: Set[str] = set()
         for segment in segments:
             if segment.rule is not None:
@@ -524,12 +565,12 @@ class BlockTranslator:
         insns = self.blockmap.instructions(block)
         defs = [ARM.defn(i) for i in insns]
         n = len(insns)
-        segments = self._plan(insns, block)
+        segments = self._plan(insns, defs, block)
         if self.config.condition:
-            self._resolve_clusters(insns, segments)
+            self._resolve_clusters(defs, segments)
         else:
-            self._resolve_eager(insns, segments)
-        self._resolve_entry_reads(insns, segments)
+            self._resolve_eager(defs, segments)
+        self._resolve_entry_reads(defs, segments)
 
         host: List[Instruction] = []
         cats: List[str] = []
@@ -571,22 +612,24 @@ class BlockTranslator:
                     CAT_RULE,
                 )
 
-            body = list(
-                segment.rule.instantiate(
+            match = segment.match
+            body = match.body
+            if body is None:
+                # A RuleError propagates and leaves the body unset.
+                body = match.body = match.rule.instantiate(
                     segment.window,
                     host_reg=_host_reg,
                     scratch=_rule_scratch,
                     label_map=_exit_taken,
                 )
-            )
             # Flag glue goes before a window-terminating branch (both paths
             # must observe the spilled flags) but after everything else.
-            tail: List[Instruction] = []
+            tail: Tuple[Instruction, ...] = ()
             if body and X86.defn(body[-1]).is_branch:
-                tail = [body.pop()]
+                body, tail = body[:-1], body[-1:]
             for item in body:
                 emit(item, CAT_RULE)
-            applied.append((segment.rule, segment.length))
+            applied.append((match.rule, segment.length))
             for k in range(segment.pos, segment.end):
                 covered[k] = True
                 env_stale |= defs[k].flags_set

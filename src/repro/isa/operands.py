@@ -3,7 +3,9 @@
 Operands are immutable and hashable so they can key rule-lookup tables.
 The operand *kind* (register / immediate / memory / label / register list)
 is the unit the parameterization framework generalizes over in the
-addressing-mode dimension (paper §IV-B).
+addressing-mode dimension (paper §IV-B).  Each class's ``kind`` is a
+constant, so it takes no part in equality or hashing: the generated
+``__eq__`` already requires the same class.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class Reg(Operand):
     """A register operand, e.g. ``r3`` or ``eax``."""
 
     name: str
-    kind: OperandKind = field(default=OperandKind.REG, init=False)
+    kind: OperandKind = field(default=OperandKind.REG, init=False, compare=False)
 
     def __str__(self) -> str:
         return self.name
@@ -50,7 +52,7 @@ class Imm(Operand):
     """An immediate operand.  Values are 32-bit two's-complement integers."""
 
     value: int
-    kind: OperandKind = field(default=OperandKind.IMM, init=False)
+    kind: OperandKind = field(default=OperandKind.IMM, init=False, compare=False)
 
     def __str__(self) -> str:
         return f"#{self.value}"
@@ -68,7 +70,7 @@ class Mem(Operand):
     index: Optional[Reg] = None
     disp: int = 0
     scale: int = 1
-    kind: OperandKind = field(default=OperandKind.MEM, init=False)
+    kind: OperandKind = field(default=OperandKind.MEM, init=False, compare=False)
 
     def __str__(self) -> str:
         parts = []
@@ -89,7 +91,7 @@ class Label(Operand):
     """A branch-target label (resolved to an instruction index at link time)."""
 
     name: str
-    kind: OperandKind = field(default=OperandKind.LABEL, init=False)
+    kind: OperandKind = field(default=OperandKind.LABEL, init=False, compare=False)
 
     def __str__(self) -> str:
         return self.name
@@ -100,7 +102,7 @@ class RegList(Operand):
     """A register list for ``push``/``pop``."""
 
     regs: Tuple[Reg, ...]
-    kind: OperandKind = field(default=OperandKind.REGLIST, init=False)
+    kind: OperandKind = field(default=OperandKind.REGLIST, init=False, compare=False)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(r) for r in self.regs) + "}"

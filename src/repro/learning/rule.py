@@ -266,6 +266,36 @@ class TranslationRule:
     #: free-form constraint tags (e.g. "aux:bic", "pc-operand").
     constraints: Tuple[str, ...] = ()
 
+    def __hash__(self) -> int:
+        """The generated field-tuple hash, computed once per rule.
+
+        Every applied rule is hashed per translated block and per block
+        per run (rule-usage accounting); the generated method would walk
+        all eight fields each time.  Kept out of pickled state: a string
+        hash is only valid in the process that computed it.
+        """
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = hash(
+                (
+                    self.guest,
+                    self.host,
+                    self.reg_mapping,
+                    self.host_temps,
+                    self.flag_status,
+                    self.imm_generalized,
+                    self.origin,
+                    self.constraints,
+                )
+            )
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # -- derived views ---------------------------------------------------------
 
     @property

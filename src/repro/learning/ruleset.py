@@ -24,7 +24,10 @@ class RuleSet:
     _generalized: Dict[CanonicalKey, TranslationRule] = field(default_factory=dict)
     _specific: Dict[CanonicalKey, TranslationRule] = field(default_factory=dict)
     _identities: Set[Tuple] = field(default_factory=set)
-    _frozen: bool = field(default=False, repr=False)
+    _sequences: Set[Tuple[str, ...]] = field(default_factory=set)
+    #: set by :meth:`freeze`: this set's name in process-wide memos over its
+    #: lookups (see :attr:`memo_token`).
+    _token: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -40,12 +43,24 @@ class RuleSet:
         mutating one poisons nothing — the attempt fails loudly instead.
         :meth:`copy` returns a mutable duplicate.
         """
-        self._frozen = True
+        if self._token is None:
+            self._token = object()
         return self
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self._token is not None
+
+    @property
+    def memo_token(self) -> Optional[object]:
+        """Key for memos over this set's lookups, or None while mutable.
+
+        A frozen set's lookups never change, so their results may be kept
+        process-wide under this token (the translator's window memo does).
+        The token is a fresh object, so no other set, and no later set at
+        the same address, shares it.
+        """
+        return self._token
 
     def add(self, rule: TranslationRule) -> bool:
         """Add a rule; returns False if it duplicates an existing rule.
@@ -54,7 +69,7 @@ class RuleSet:
         host sequence wins the index slot (better translated code quality);
         both remain in :attr:`rules` for counting.
         """
-        if self._frozen:
+        if self._token is not None:
             raise RuleError("RuleSet is frozen (shared/memoized); copy() it first")
         try:
             identity = rule.canonical_identity()
@@ -64,6 +79,8 @@ class RuleSet:
             return False
         self._identities.add(identity)
         self.rules.append(rule)
+        if rule.guest_length > 1:
+            self._sequences.add(tuple(insn.mnemonic for insn in rule.guest))
         index = self._generalized if rule.imm_generalized else self._specific
         key = rule.key()
         current = index.get(key)
@@ -96,6 +113,16 @@ class RuleSet:
             return rule
         return self._specific.get(specific)
 
+    @property
+    def sequences(self) -> Set[Tuple[str, ...]]:
+        """Guest mnemonic sequences of the rules longer than one instruction.
+
+        A lookup key spells out every mnemonic, so a window of two or more
+        instructions whose mnemonics are not among these matches no rule:
+        the translator skips it without fingerprinting or memoizing it.
+        """
+        return self._sequences
+
     def max_guest_length(self) -> int:
         return max((rule.guest_length for rule in self.rules), default=0)
 
@@ -117,4 +144,5 @@ class RuleSet:
             _generalized=dict(self._generalized),
             _specific=dict(self._specific),
             _identities=set(self._identities),
+            _sequences=set(self._sequences),
         )

@@ -126,6 +126,40 @@ class TestCacheCli:
                 == before["prefix_decided"] + before["compiled_scans"] + 1
             )
 
+    def test_stats_show_the_translator_window_memo(self, capsys, demo_pair, demo_setup):
+        from repro.cache import stats_payload
+        from repro.dbt import BlockMap, BlockTranslator
+
+        def windows():
+            (memo,) = [
+                m for m in stats_payload(include_disk=False)["memos"]
+                if m["name"] == "dbt.translator.windows"
+            ]
+            return memo
+
+        def translate():
+            blockmap = BlockMap(demo_pair.guest)
+            translator = BlockTranslator(
+                demo_pair.guest, blockmap, demo_setup.configs["condition"]
+            )
+            for block in blockmap.blocks:
+                translator.translate(block)
+
+        translate()
+        first = windows()
+        assert 0 < first["size"] <= first["maxsize"]
+        translate()  # a second translator: every probe is a hit
+        second = windows()
+        assert second["misses"] == first["misses"]
+        assert second["hits"] > first["hits"]
+        assert second["size"] == first["size"]
+        assert main(["cache", "stats"]) == 0
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "dbt.translator.windows" in line
+        ]
+        assert f"size {second['size']}/{second['maxsize']}" in line
+
     def test_stats_payload_counts_full_collections(self):
         import gc
 

@@ -129,6 +129,13 @@ class TestLookup:
             assert found is reference_lookup(training, rule.guest)
 
 
+    def test_sequences_are_the_multi_instruction_keys_mnemonics(self, training):
+        """A window the translator skips by mnemonics could never match."""
+        keys = list(training._generalized) + list(training._specific)
+        spelled = {tuple(mnemonic for mnemonic, _ in key) for key in keys if len(key) > 1}
+        assert spelled and training.sequences == spelled
+
+
 class TestIndexPreference:
     def test_generalized_preferred_over_specific(self):
         rules = RuleSet()
@@ -199,6 +206,7 @@ class TestCopyAndIdentity:
         assert _same_index(copy._generalized, reference._generalized)
         assert _same_index(copy._specific, reference._specific)
         assert copy._identities == reference._identities
+        assert copy.sequences == reference.sequences
 
     def test_copy_equals_readding_with_slot_contention(self):
         """Rules sharing a guest key: the index winners and the slot order of
@@ -235,6 +243,44 @@ class TestCopyAndIdentity:
             assert rule.canonical_identity() is identity
             assert rule.key() == guest_key(rule.guest, with_values=not rule.imm_generalized)
             assert rule.key() == identity[0]
+
+
+class TestHashes:
+    def test_cached_rule_hash_is_the_generated_one(self, training):
+        for rule in training:
+            compared = tuple(
+                getattr(rule, f.name) for f in dataclasses.fields(rule) if f.compare
+            )
+            fresh = dataclasses.replace(rule)  # same fields, nothing cached
+            assert "_hash" not in fresh.__dict__
+            assert hash(rule) == hash(compared) == hash(fresh)
+            assert rule.__dict__["_hash"] == hash(compared)
+
+    def test_pickled_rule_recomputes_its_hash(self, training):
+        import pickle
+
+        rule = next(iter(training))
+        hash(rule)
+        loaded = pickle.loads(pickle.dumps(rule))
+        assert loaded == rule and "_hash" not in loaded.__dict__
+        assert hash(loaded) == hash(rule)
+
+    def test_operand_kind_is_not_compared(self):
+        from repro.isa.operands import Label, OperandKind
+
+        for cls in (Reg, Imm, Mem, Label, RegList):
+            assert [f.name for f in dataclasses.fields(cls) if f.name == "kind" and f.compare] == []
+        assert Reg("r1").kind is OperandKind.REG and Label("r1").kind is OperandKind.LABEL
+        assert Reg("r1") != Label("r1") and Reg("r1") == Reg("r1")
+        assert len({Reg("r1"), Label("r1"), Reg("r1")}) == 2
+
+
+def test_memo_token_names_a_frozen_set_only(training):
+    copy = training.copy()
+    assert copy.memo_token is None
+    token = training.memo_token
+    assert token is not None and training.freeze().memo_token is token
+    assert copy.freeze().memo_token not in (None, token)
 
 
 def test_service_serves_the_frozen_ruleset():

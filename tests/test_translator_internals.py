@@ -72,9 +72,9 @@ class TestPlanning:
         unit, blockmap, translator = make_translator(
             "fn_main:\n    add r0, r1, r2\n    sub r3, r0, r1\n    bx lr"
         )
-        segments = translator._plan(
-            blockmap.instructions(blockmap.blocks[0]), blockmap.blocks[0]
-        )
+        insns = blockmap.instructions(blockmap.blocks[0])
+        defs = [ARM.defn(i) for i in insns]
+        segments = translator._plan(insns, defs, blockmap.blocks[0])
         assert all(s.rule is None and s.length == 1 for s in segments)
 
     def test_longest_window_preferred(self, demo_rules):
@@ -85,7 +85,8 @@ class TestPlanning:
             rules=demo_rules,
         )
         block = blockmap.blocks[0]
-        segments = translator._plan(blockmap.instructions(block), block)
+        insns = blockmap.instructions(block)
+        segments = translator._plan(insns, [ARM.defn(i) for i in insns], block)
         if segments[0].rule is not None and segments[0].length == 2:
             assert segments[0].rule.guest_length == 2
         else:  # the demo rule set may only carry the singles
@@ -97,7 +98,8 @@ class TestPlanning:
             rules=demo_rules,
         )
         for block in blockmap.blocks:
-            segments = translator._plan(blockmap.instructions(block), block)
+            insns = blockmap.instructions(block)
+            segments = translator._plan(insns, [ARM.defn(i) for i in insns], block)
             total = sum(s.length for s in segments)
             assert total == block.size
 
