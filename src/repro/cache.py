@@ -30,6 +30,7 @@ memo under its own lock and summed into :data:`STATS` when it is read.
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -123,24 +124,45 @@ class CacheStats:
 _LIFECYCLE_MEMOS: List["BoundedMemo"] = []
 
 
-def _memo_totals() -> Tuple[int, int]:
-    hits = misses = 0
-    for memo in _LIFECYCLE_MEMOS:
-        hits += memo.hits
-        misses += memo.misses
-    return hits, misses
+def _memo_hits() -> int:
+    return sum(memo.hits for memo in _LIFECYCLE_MEMOS)
 
 
-def _memo_counter(index: int) -> property:
-    """A counter read as the registered memos' total plus a stored offset,
-    so setting it (``reset``, ``incr``) moves only the offset."""
+def _memo_misses() -> int:
+    return sum(memo.misses for memo in _LIFECYCLE_MEMOS)
+
+
+class Tally:
+    """An event count bumped without a lock: ``bump()`` is ``next()`` on an
+    ``itertools.count``, which advances atomically, so a per-block event
+    costs one C call.  Reading takes a lock and uses up one number."""
+
+    def __init__(self) -> None:
+        self._count = itertools.count()
+        self._reads = 0
+        self._lock = threading.Lock()
+        self.bump = self._count.__next__
+
+    def value(self) -> int:
+        with self._lock:
+            value = next(self._count) - self._reads
+            self._reads += 1
+        return value
+
+
+#: jit blocks bound into template form (``repro.dbt.compiler.bind_block``).
+JIT_BLOCKS_BOUND = Tally()
+
+
+def _derived_counter(name: str, total: Callable[[], int]) -> property:
+    """A counter read as *total()* plus a stored offset, so setting it
+    (``reset``, ``incr``) moves only the offset."""
 
     def get(self) -> int:
-        return self.__dict__.get("_memo_offsets", [0, 0])[index] + _memo_totals()[index]
+        return self.__dict__.get("_offsets", {}).get(name, 0) + total()
 
     def set(self, value: int) -> None:
-        offsets = self.__dict__.setdefault("_memo_offsets", [0, 0])
-        offsets[index] = value - _memo_totals()[index]
+        self.__dict__.setdefault("_offsets", {})[name] = value - total()
 
     return property(get, set)
 
@@ -148,10 +170,13 @@ def _memo_counter(index: int) -> property:
 class _ProcessStats(CacheStats):
     """:data:`STATS`: ``memo_hits``/``memo_misses`` are summed from the
     lifecycle-registered memos when read, because each memo counts its own
-    lookups under its own lock (one lock per lookup, not two)."""
+    lookups under its own lock (one lock per lookup, not two), and
+    ``jit_blocks_bound`` is read from :data:`JIT_BLOCKS_BOUND`, which
+    binding bumps without a lock."""
 
-    memo_hits = _memo_counter(0)
-    memo_misses = _memo_counter(1)
+    memo_hits = _derived_counter("memo_hits", _memo_hits)
+    memo_misses = _derived_counter("memo_misses", _memo_misses)
+    jit_blocks_bound = _derived_counter("jit_blocks_bound", JIT_BLOCKS_BOUND.value)
 
 
 #: Process-wide counters (parallel workers keep their own copies).

@@ -28,7 +28,13 @@ class Block:
 
 
 class BlockMap:
-    """All blocks of a compiled unit, indexed by start address."""
+    """All blocks of a compiled unit, indexed by start address.
+
+    The map keeps each block's bounds as plain ints (a dict of ints is not
+    tracked by the cyclic collector) and builds :class:`Block` values on
+    request: an engine's map lives as long as the engine, and most of its
+    blocks are only looked up once.
+    """
 
     def __init__(self, unit: CompiledUnit) -> None:
         self.unit = unit
@@ -40,19 +46,18 @@ class BlockMap:
             if defn.is_branch and i + 1 < n:
                 leaders.add(i + 1)
         ordered = sorted(index for index in leaders if index < n)
-        self.blocks: List[Block] = []
-        self._block_at: Dict[int, Block] = {}
-        for i, start in enumerate(ordered):
-            end = ordered[i + 1] if i + 1 < len(ordered) else n
-            block = Block(start, end)
-            self.blocks.append(block)
-            self._block_at[start] = block
+        self._ends: Dict[int, int] = dict(zip(ordered, ordered[1:] + [n]))
+
+    @property
+    def blocks(self) -> List[Block]:
+        """Every block, in address order."""
+        return [Block(start, end) for start, end in self._ends.items()]
 
     def block_at(self, index: int) -> Block:
-        block = self._block_at.get(index)
-        if block is None:
+        end = self._ends.get(index)
+        if end is None:
             raise KeyError(f"no basic block starts at instruction index {index}")
-        return block
+        return Block(index, end)
 
     def instructions(self, block: Block) -> Tuple:
         return self.unit.real_instructions[block.start : block.end]

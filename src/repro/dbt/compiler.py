@@ -76,15 +76,14 @@ the shared semantics function, which is always correct.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.cache import STATS
+from repro.cache import JIT_BLOCKS_BOUND, STATS
 
 from repro.dbt.executor import WEIGHTS, BlockKernel, HostExecutor
-from repro.dbt.runtime import DISPATCH_LABEL, GLUE_IDS
+from repro.dbt.runtime import DISPATCH_LABEL, GlueInstruction
 from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
 from repro.isa.flags import NZCV
@@ -694,20 +693,17 @@ def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
 # (:func:`_operand_shape`) and the dead-flag set.  The factory's parameters
 # are the instruction's operand constants, so binding a block is one walk
 # over its operands and one factory call per instruction.  The runtime's
-# shared glue instructions (entry loads, exit stores, flag spills and
-# fills, ``bx``'s PC store) are the one exception: each is bound once per
-# process.
+# shared glue instructions (:class:`repro.dbt.runtime.GlueInstruction`:
+# entry loads, exit stores and stubs, flag spills, fills and recomputes,
+# PC loads) are the one exception: each is bound once per process, and
+# keeps its functions itself.
 
 #: Shape -> factory, for the life of the process.  Keyed by shapes, so
 #: rule-body and TCG instructions pay their binding in every block.
 _FACTORIES: Dict[Any, Callable] = {}
 
-#: (shared glue instruction, dead-flag set) -> bound function, for the
-#: life of the process.  Only :data:`repro.dbt.runtime.GLUE_IDS`
-#: instructions enter it, so it is bounded by registers x flags.
-_GLUE_FNS: Dict[Tuple[Instruction, FrozenSet[str]], Callable] = {}
-
-#: :data:`_PRED_EXPR` as callables over the flag file, for template exits.
+#: :data:`_PRED_EXPR` as callables over the flag file, for template exits
+#: (keyed by the expression, which is what an exit holds).
 _PRED_FN: Dict[str, Callable] = {
     expr: eval(f"lambda flags: {expr}")  # noqa: S307 - our own constants
     for expr in _PRED_EXPR.values()
@@ -715,6 +711,12 @@ _PRED_FN: Dict[str, Callable] = {
 
 #: Template-runner exit sentinel: control falls off the end of the host code.
 _FELL = -2
+
+#: ``TemplateBlock.left`` of a block bound without a tier-up count.
+_NEVER = 1 << 62
+
+#: One bound block, counted without a lock (``CacheStats.jit_blocks_bound``).
+_count_bound = JIT_BLOCKS_BOUND.bump
 
 
 def _operand_shape(op, params: List) -> Any:
@@ -829,51 +831,13 @@ def _bind_insn(
 
 
 def _bind_glue(
-    insn: Instruction, defn: InstructionDef, dead: FrozenSet[str]
+    insn: GlueInstruction, defn: InstructionDef, dead: FrozenSet[str]
 ) -> Callable:
     """:func:`_bind_insn` for a shared glue instruction, once per process."""
-    key = (insn, dead)
-    fn = _GLUE_FNS.get(key)
+    fn = insn.bound.get(dead)
     if fn is None:
-        fn = _GLUE_FNS[key] = _bind_insn(insn, defn, dead)
+        fn = insn.bound[dead] = _bind_insn(insn, defn, dead)
     return fn
-
-
-def _template_runner(runs, tier_up, after: int):
-    """``execute`` of a path-uniform block in template form.
-
-    Each run's functions execute in order, then its exit picks the next run
-    or leaves the block; nothing is counted, as in the ``_block`` form.
-    With *tier_up*, the *after*-th call goes to ``tier_up(st, counts)``
-    instead, which is expected to replace the block's ``execute``.
-    """
-    left = after if tier_up is not None else 0
-
-    def execute(st, counts):
-        nonlocal left
-        left -= 1
-        if not left:
-            return tier_up(st, counts)
-        regs = st.regs
-        mem = st.memory
-        flags = st.flags
-        ri = 0
-        try:
-            while True:
-                fns, pred, taken, fall = runs[ri]
-                for fn in fns:
-                    fn(st, regs, mem, flags)
-                if pred is not None and not pred(flags):
-                    taken = fall
-                if taken < 0:
-                    if taken == EXIT:
-                        return
-                    raise ExecutionError(_FELL_MSG)
-                ri = taken
-        except KeyError as exc:
-            _uninit(exc)
-
-    return execute
 
 
 def _interpret(tb: TranslatedBlock, kernel: BlockKernel, st, counts) -> None:
@@ -889,14 +853,14 @@ class CompiledBlock:
     ``execute(state, counts)`` runs the block to its dispatch exit against
     *state*.  It is one of:
 
-    * the **template form** (:func:`bind_block`): a small run-graph loop
-      over per-instruction functions bound from per-shape templates, with
-      no ``compile()`` of the block's own.  Every cold jit block starts
-      here;
+    * the **template form** (:func:`bind_block`, a :class:`TemplateBlock`):
+      a small run-graph loop over per-instruction functions bound from
+      per-shape templates, with no ``compile()`` of the block's own.
+      Every cold jit block starts here;
     * the **inline form** (:func:`compile_block`): one generated
-      ``_block`` function, called without a wrapper frame.  The engine
-      tiers a hot block up to it by swapping ``execute`` in place, so
-      chain maps and per-run execution counts keep the same object.
+      ``_block`` function, called without a wrapper frame.  A template
+      block tiers up to it in place, so chain maps and per-run execution
+      counts keep the same object.
 
     Neither counts anything: ``host_counts`` holds the block's constant
     per-execution weighted host-instruction counts
@@ -910,6 +874,7 @@ class CompiledBlock:
     ``chain`` maps a successor guest-block index to the successor's
     ``CompiledBlock``; the engine populates it the first time an edge is
     taken (when chaining is enabled) and follows it directly afterwards.
+    ``runs`` and ``left`` belong to the template form.
     """
 
     __slots__ = (
@@ -921,6 +886,8 @@ class CompiledBlock:
         "rule_agg",
         "host_counts",
         "start",
+        "runs",
+        "left",
         "__weakref__",
     )
 
@@ -928,13 +895,68 @@ class CompiledBlock:
         self, tb: TranslatedBlock, execute, host_counts: HostCounts
     ) -> None:
         self.tb = tb
-        self.execute = execute
+        if execute is not None:  # a TemplateBlock's is its method
+            self.execute = execute
         self.chain: Dict[int, "CompiledBlock"] = {}
         self.guest_count = tb.guest_count
         self.covered_count = tb.covered_count
         self.rule_agg = tb.rule_agg
         self.host_counts = host_counts
         self.start = tb.start
+
+
+class TemplateBlock(CompiledBlock):
+    """A path-uniform block in template form.
+
+    ``execute`` is a method over ``runs``, which holds two entries per
+    run: the tuple of its functions, which execute in order, and its exit
+    ``(predicate, taken, fall)``, which picks the next run (by position in
+    ``runs``) or leaves the block; nothing is counted, as in the
+    ``_block`` form.  An exit names its predicate by its
+    :data:`_PRED_FN` key, so it holds no object the collector tracks.  ``left`` counts down to tier-up:
+    the execution that finds it at 1 (the count trigger) or at 0 (set by
+    the engine when a later run starts: the reuse trigger) compiles the
+    inline form instead, and the object becomes a plain
+    :class:`CompiledBlock` in place (the two classes share one layout).
+    The block needs no trigger object: no closure, partial or weak
+    reference, and so nothing in it refers back to it.
+    """
+
+    __slots__ = ()
+
+    def execute(self, st, counts) -> None:
+        left = self.left
+        if left <= 1:
+            return self._tier_up(st, counts)
+        self.left = left - 1
+        runs = self.runs
+        regs = st.regs
+        mem = st.memory
+        flags = st.flags
+        ri = 0
+        try:
+            while True:
+                for fn in runs[ri]:
+                    fn(st, regs, mem, flags)
+                pred, taken, fall = runs[ri + 1]
+                if pred is not None and not _PRED_FN[pred](flags):
+                    taken = fall
+                if taken < 0:
+                    if taken == EXIT:
+                        return
+                    raise ExecutionError(_FELL_MSG)
+                ri = taken
+        except KeyError as exc:
+            _uninit(exc)
+
+    def _tier_up(self, st, counts) -> None:
+        stat = "jit_tierups_reuse" if self.left == 0 else "jit_tierups_count"
+        execute = compile_block(self.tb).execute
+        self.__class__ = CompiledBlock
+        self.execute = execute
+        self.runs = None
+        STATS.incr(**{stat: 1})
+        execute(st, counts)
 
 
 @dataclass(frozen=True)
@@ -1063,17 +1085,14 @@ def compile_block_source(
 def bind_block(
     tb: TranslatedBlock,
     defs: Optional[Tuple[InstructionDef, ...]] = None,
-    tier_up=None,
-    after: int = 0,
+    after: Optional[int] = None,
 ) -> CompiledBlock:
     """Bind one translated block into its template form (no ``compile()``).
 
-    A path-uniform block gets :func:`_template_runner`, which on its
-    *after*-th execution calls ``tier_up(ref, st, counts)`` when *tier_up*
-    is given, *ref* being a weak reference to the returned block: the
-    runner is reachable from the block, so a strong reference back would
-    make every dropped block cyclic garbage.  Any other block gets the
-    guarded form, which never tiers up.
+    A path-uniform block becomes a :class:`TemplateBlock`, which tiers up
+    to the inline form on its *after*-th execution (never without
+    *after*) or on its next one once the engine sets ``left`` to 0.  Any
+    other block gets the guarded form, which never tiers up.
     """
     defs = _block_defs(tb, defs)
     if not tb.host:
@@ -1083,22 +1102,27 @@ def bind_block(
     if host_counts is None:
         return CompiledBlock(tb, partial(_interpret, tb, BlockKernel(tb)), ())
     host = tb.host
-    runs = []
+    runs: List = []
     for (start, end), (pred, taken, fall) in zip(bounds, exits):
         insns, dead = _run_insns(defs, start, end)
-        fns = tuple(
-            (_bind_glue if id(host[k]) in GLUE_IDS else _bind_insn)(
-                host[k], defs[k], dead.get(k, _NONE)
+        runs.append(
+            tuple(
+                (_bind_glue if type(host[k]) is GlueInstruction else _bind_insn)(
+                    host[k], defs[k], dead.get(k, _NONE)
+                )
+                for k in insns
             )
-            for k in insns
         )
-        exit_fn = None if pred is None else _PRED_FN[pred]
-        runs.append((fns, exit_fn, _FELL if taken is None else taken, fall))
-    STATS.incr(jit_blocks_bound=1)
-    cb = CompiledBlock(tb, None, host_counts)
-    if tier_up is not None:
-        tier_up = partial(tier_up, weakref.ref(cb))
-    cb.execute = _template_runner(runs, tier_up, after)
+        # Run ri's functions sit at position 2 * ri, its exit after them.
+        if taken is None:
+            taken = _FELL
+        elif taken >= 0:
+            taken *= 2
+        runs.append((pred, taken, None if fall is None else 2 * fall))
+    _count_bound()
+    cb = TemplateBlock(tb, None, host_counts)
+    cb.runs = tuple(runs)
+    cb.left = after or _NEVER
     return cb
 
 

@@ -15,8 +15,8 @@ Execution backends share the code cache (``--backend`` on the CLI):
   bind time, no ``compile()`` of its own.  A block tiers up to one
   generated, compiled function (straight-line runs fused) on its
   :data:`TIER_UP_EXECUTIONS`-th execution in a run, or on its first
-  execution in a later run of the same engine; the swap happens in place
-  on the :class:`CompiledBlock`.  Neither form counts anything: each
+  execution in a later run; the swap happens in place on the
+  :class:`~repro.dbt.compiler.TemplateBlock`.  Neither form counts anything: each
   block's constant counts are multiplied by its execution count at run
   end.  With ``chaining=True`` hot block edges transfer directly between
   block bodies without returning to this dispatch loop.
@@ -32,13 +32,12 @@ failure mode of the old ``id(tb)``-keyed defs cache in the executor).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
-from repro.cache import STATS
 from repro.dbt.block import BlockMap
-from repro.dbt.compiler import CompiledBlock, bind_block, compile_block
+from repro.dbt.compiler import CompiledBlock, TemplateBlock, bind_block
 from repro.dbt.executor import BlockKernel, HostExecutor
 from repro.dbt.guest_interp import GuestInterpreter
 from repro.dbt.metrics import RunMetrics
@@ -117,18 +116,33 @@ def _initial_state() -> ConcreteState:
     return state
 
 
-@dataclass
 class CodeCacheEntry:
     """One code-cache slot: the block plus its per-backend artifacts.
 
     The entry pins the :class:`TranslatedBlock` for as long as its decode
     products (``kernel``) and compiled body (``compiled``) are reachable, so
-    recycled blocks can never alias another block's artifacts.
+    recycled blocks can never alias another block's artifacts.  The kernel
+    is built on first use: only the interpreter and the trace tier read it.
     """
 
-    tb: TranslatedBlock
-    kernel: BlockKernel
-    compiled: Optional[CompiledBlock] = field(default=None)
+    __slots__ = ("tb", "compiled", "_kernel")
+
+    def __init__(
+        self,
+        tb: TranslatedBlock,
+        kernel: Optional[BlockKernel] = None,
+        compiled: Optional[CompiledBlock] = None,
+    ) -> None:
+        self.tb = tb
+        self._kernel = kernel
+        self.compiled = compiled
+
+    @property
+    def kernel(self) -> BlockKernel:
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = BlockKernel(self.tb)
+        return kernel
 
 
 class DBTEngine:
@@ -180,10 +194,6 @@ class DBTEngine:
             # with other engines and keep theirs.
             weakref.finalize(self, _unchain, self.code_cache)
         self._chained_edges: set = set()
-        #: blocks bound into template form during the current run, each
-        #: with its template runner; :meth:`run` tiers up the ones still on
-        #: it at their first execution in the next run.
-        self._cold: List[Tuple[CodeCacheEntry, Callable]] = []
         #: trace-tier state (``backend="trace"``): edge profile, live
         #: superblocks by head index, and heads proven not traceable.
         self.trace_config = trace_config or TraceConfig()
@@ -209,8 +219,7 @@ class DBTEngine:
     def _entry(self, index: int, metrics: RunMetrics) -> CodeCacheEntry:
         entry = self.code_cache.get(index)
         if entry is None:
-            tb = self.translator.translate(self.blockmap.block_at(index))
-            entry = CodeCacheEntry(tb=tb, kernel=BlockKernel(tb))
+            entry = CodeCacheEntry(self.translator.translate(self.blockmap.block_at(index)))
             self.code_cache[index] = entry
             metrics.blocks_translated += 1
         return entry
@@ -218,31 +227,17 @@ class DBTEngine:
     def _compiled(self, entry: CodeCacheEntry) -> CompiledBlock:
         cb = entry.compiled
         if cb is None:
-            cb = bind_block(
-                entry.tb,
-                entry.kernel.defs,
-                partial(_tier_up, entry.kernel.defs, "jit_tierups_count"),
-                TIER_UP_EXECUTIONS,
-            )
-            entry.compiled = cb
-            if cb.host_counts:  # the guarded form never tiers up
-                self._cold.append((entry, cb.execute))
+            cb = entry.compiled = bind_block(entry.tb, after=TIER_UP_EXECUTIONS)
         return cb
 
     def _tier_up_reused(self) -> None:
         """Template-form blocks from earlier runs compile on their first
         execution in this one: a block that runs again is worth its
         ``compile()``, and warm engines then run inline code only."""
-        for entry, runner in self._cold:
+        for entry in self.code_cache.values():
             cb = entry.compiled
-            if cb.execute is runner:
-                cb.execute = partial(
-                    _tier_up,
-                    entry.kernel.defs,
-                    "jit_tierups_reuse",
-                    weakref.ref(cb),
-                )
-        self._cold.clear()
+            if type(cb) is TemplateBlock:
+                cb.left = 0
 
     def run(
         self,
@@ -695,18 +690,6 @@ class DBTEngine:
         self._traces[head] = trace
         metrics.traces_formed += 1
         return True
-
-
-def _tier_up(defs, stat: str, ref, state, counts) -> None:
-    """Promote a template-form block to its inline form in place, then run
-    it: chain maps and the run's ``execs`` keep the same object.  The
-    block holds this trigger, so the trigger reaches the block only
-    through the weak reference *ref*; the caller running the block keeps
-    it alive."""
-    cb = ref()
-    cb.execute = compile_block(cb.tb, defs).execute
-    STATS.incr(**{stat: 1})
-    cb.execute(state, counts)
 
 
 def _unchain(code_cache: Dict[int, CodeCacheEntry]) -> None:

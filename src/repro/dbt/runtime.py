@@ -12,18 +12,21 @@ mapping), so the environment region is placed outside the workload address
 space.
 
 This module owns every fixed host operand and glue instruction the
-translators emit.  Each is built once per process, in eager tables over
-the finite domains below, and every block shares the same objects:
-operands and instructions are immutable, and a per-block copy would only
-be garbage the cyclic collector has to walk.
+translators emit.  Each is built once per process and every block shares
+the same objects: operands and instructions are immutable, and a
+per-block copy would only be more objects for the cyclic collector to
+walk.  Glue over the finite domains below (registers, flags) lives in
+eager tables; glue that names a guest address (exit-stub targets,
+materialized PCs) lives in bounded, named memos.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.cache import BoundedMemo
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Label, Mem, Reg
+from repro.isa.operands import Imm, Label, Mem, Reg
 
 #: Base address of the emulated CPU environment.
 ENV_BASE = 0x00F0_0000
@@ -63,40 +66,81 @@ _ENV_FLAG_MEMS: Dict[str, Mem] = {
     flag: Mem(disp=env_flag_addr(flag)) for flag in _FLAG_ORDER
 }
 
+class GlueInstruction(Instruction):
+    """A host instruction the runtime builds once and every block shares.
+
+    ``bound`` maps a dead-flag set to the instruction's template-form
+    function; :func:`repro.dbt.compiler.bind_block` fills it, so each glue
+    instruction is bound once per process and its functions live exactly as
+    long as it does.  Glue is recognized by type, not by ``id``: an evicted
+    memo entry takes its marker with it.
+    """
+
+    __slots__ = ("bound",)
+
+    def __init__(self, mnemonic: str, operands: Tuple) -> None:
+        super().__init__(mnemonic, operands)
+        _set_bound(self, {})
+
+
+_set_bound = GlueInstruction.bound.__set__
+
 #: Block prologue: ``movl [env_X], g_X`` per guest register.
-ENTRY_LOADS: Dict[str, Instruction] = {
-    name: Instruction("movl", (_ENV_REG_MEMS[name], GUEST_REGS[name]))
+ENTRY_LOADS: Dict[str, GlueInstruction] = {
+    name: GlueInstruction("movl", (_ENV_REG_MEMS[name], GUEST_REGS[name]))
     for name in _REG_ORDER
 }
 #: Exit stub: ``movl_s g_X, [env_X]`` per guest register.
-EXIT_STORES: Dict[str, Instruction] = {
-    name: Instruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS[name]))
+EXIT_STORES: Dict[str, GlueInstruction] = {
+    name: GlueInstruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS[name]))
     for name in _REG_ORDER
 }
 #: ``bx X`` exit: ``movl_s g_X, [env_pc]`` per guest register.
-PC_STORES: Dict[str, Instruction] = {
-    name: Instruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS["pc"]))
+PC_STORES: Dict[str, GlueInstruction] = {
+    name: GlueInstruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS["pc"]))
+    for name in _REG_ORDER
+}
+#: Flag recomputation after a rule: ``testl g_X, g_X`` per guest register.
+TESTS: Dict[str, GlueInstruction] = {
+    name: GlueInstruction("testl", (GUEST_REGS[name], GUEST_REGS[name]))
     for name in _REG_ORDER
 }
 #: Host-flag spill (``st<f>f [env_F]``) and fill (``ld<f>f [env_F]``) per flag.
-FLAG_SPILLS: Dict[str, Instruction] = {
-    flag: Instruction(f"st{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
+FLAG_SPILLS: Dict[str, GlueInstruction] = {
+    flag: GlueInstruction(f"st{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
     for flag in _FLAG_ORDER
 }
-FLAG_FILLS: Dict[str, Instruction] = {
-    flag: Instruction(f"ld{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
+FLAG_FILLS: Dict[str, GlueInstruction] = {
+    flag: GlueInstruction(f"ld{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
     for flag in _FLAG_ORDER
 }
 #: Every exit stub's last instruction.
-JMP_DISPATCH = Instruction("jmp", (Label(DISPATCH_LABEL),))
+JMP_DISPATCH = GlueInstruction("jmp", (Label(DISPATCH_LABEL),))
 
-#: ``id`` of every shared glue instruction above.  The tables live for the
-#: whole process, so no other live object can carry one of these ids.
-GLUE_IDS = frozenset(
-    id(insn)
-    for table in (ENTRY_LOADS, EXIT_STORES, PC_STORES, FLAG_SPILLS, FLAG_FILLS)
-    for insn in table.values()
-) | {id(JMP_DISPATCH)}
+#: Exit stub ``movl_s #4*target, [env_pc]`` by target guest index, and the
+#: materialized PC ``movl #pc, t4`` before a PC-reading rule by PC value.
+#: Both domains are bounded by the longest program; 4,096 covers every
+#: program of the benchmark corpus, and an evicted entry is only rebuilt.
+_EXIT_PC_STORES = BoundedMemo(maxsize=1 << 12, name="dbt.runtime.exit_pc_stores")
+_PC_LOADS = BoundedMemo(maxsize=1 << 12, name="dbt.runtime.pc_loads")
+
+
+def exit_pc_store(target_index: int) -> GlueInstruction:
+    """The exit stub storing guest index *target_index* as the next PC."""
+    insn = _EXIT_PC_STORES.get(target_index, None)
+    if insn is None:
+        insn = GlueInstruction("movl_s", (Imm(target_index * 4), _ENV_REG_MEMS["pc"]))
+        _EXIT_PC_STORES.put(target_index, insn)
+    return insn
+
+
+def pc_load(pc_value: int) -> GlueInstruction:
+    """``movl #pc_value, t4``: a PC read materialized for a rule (fig. 9)."""
+    insn = _PC_LOADS.get(pc_value, None)
+    if insn is None:
+        insn = GlueInstruction("movl", (Imm(pc_value), SCRATCH_REGS[4]))
+        _PC_LOADS.put(pc_value, insn)
+    return insn
 
 
 def env_pc_mem() -> Mem:

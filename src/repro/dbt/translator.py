@@ -40,13 +40,15 @@ from repro.dbt.runtime import (
     FLAG_SPILLS,
     JMP_DISPATCH,
     PC_STORES,
-    env_pc_mem,
+    TESTS,
+    exit_pc_store,
     guest_reg,
+    pc_load,
     scratch_reg,
 )
 from repro.isa.arm.opcodes import ARM
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg, RegList
+from repro.isa.operands import Label, Mem, Reg, RegList
 from repro.errors import RuleError
 from repro.isa.x86.opcodes import X86
 from repro.learning.rule import window_key_prefixes, window_keys
@@ -70,13 +72,16 @@ class _WindowMatch:
     ``rule.instantiate`` depends only on the rule and the window (the
     operand maps it is given are this module's fixed functions), so the
     body is computed on first use and then shared by every block, engine
-    and program that meets the same window under the same rule set.
+    and program that meets the same window under the same rule set.  So
+    is ``pair``, the ``(rule, window length)`` entry of
+    :attr:`TranslatedBlock.applied`.
     """
 
-    __slots__ = ("rule", "body")
+    __slots__ = ("rule", "pair", "body")
 
-    def __init__(self, rule) -> None:
+    def __init__(self, rule, length: int) -> None:
         self.rule = rule
+        self.pair = (rule, length)
         self.body: Optional[Tuple[Instruction, ...]] = None
 
 
@@ -106,28 +111,54 @@ class TranslationConfig:
     manual_other: bool = False
 
 
-@dataclass
 class TranslatedBlock:
-    start: int
-    guest_count: int
-    host: Tuple[Instruction, ...]
-    categories: Tuple[str, ...]
-    labels: Dict[str, int]
-    covered: Tuple[bool, ...]
-    #: (rule, guest-instruction count) per applied rule window, in block
-    #: order — the raw material for runtime rule-usage accounting.
-    applied: Tuple[Tuple[object, int], ...] = ()
-    #: translate-time aggregates so the engine's per-execution accounting is
-    #: O(1) per block instead of re-summing ``covered``/``applied``.
-    covered_count: int = field(init=False, default=0)
-    rule_agg: Tuple[Tuple[object, int], ...] = field(init=False, default=())
+    """One guest block's host code and its translate-time accounting.
 
-    def __post_init__(self) -> None:
-        self.covered_count = sum(self.covered)
-        agg: Dict[object, int] = {}
-        for rule, length in self.applied:
-            agg[rule] = agg.get(rule, 0) + length
-        self.rule_agg = tuple(agg.items())
+    ``applied`` holds the ``(rule, guest-instruction count)`` pair of each
+    applied rule window, in block order: the raw material for runtime
+    rule-usage accounting.  ``covered_count`` and ``rule_agg`` are its
+    aggregates, so the engine's per-execution accounting is O(1) per
+    block instead of re-summing ``covered``/``applied``.  The pairs are the
+    window matches' own, and ``rule_agg`` reuses them (and ``applied``
+    itself when no rule repeats): a block keeps no tuples of its own.
+    """
+
+    __slots__ = (
+        "start",
+        "guest_count",
+        "host",
+        "categories",
+        "labels",
+        "covered",
+        "applied",
+        "covered_count",
+        "rule_agg",
+    )
+
+    def __init__(
+        self,
+        start: int,
+        guest_count: int,
+        host: Tuple[Instruction, ...],
+        categories: Tuple[str, ...],
+        labels: Dict[str, int],
+        covered: Tuple[bool, ...],
+        applied: Tuple[Tuple[object, int], ...] = (),
+    ) -> None:
+        self.start = start
+        self.guest_count = guest_count
+        self.host = host
+        self.categories = categories
+        self.labels = labels
+        self.covered = covered
+        self.applied = applied
+        self.covered_count = sum(covered)
+        agg: Dict[object, Tuple[object, int]] = {}
+        for pair in applied:
+            rule = pair[0]
+            seen = agg.get(rule)
+            agg[rule] = pair if seen is None else (rule, seen[1] + pair[1])
+        self.rule_agg = applied if len(agg) == len(applied) else tuple(agg.values())
 
 
 @dataclass
@@ -180,9 +211,9 @@ class BlockTranslator:
 
     # -- planning ---------------------------------------------------------------
 
-    def _lookup_keys(self, general, specific) -> Optional[_WindowMatch]:
+    def _lookup_keys(self, general, specific, length: int) -> Optional[_WindowMatch]:
         rule = self._lookup_canonical(general, specific)
-        return _WindowMatch(rule) if rule is not None else None
+        return _WindowMatch(rule, length) if rule is not None else None
 
     def _lookup_match(self, lookup: Tuple[Instruction, ...]) -> Optional[_WindowMatch]:
         """Match for a (pc-rewritten) window: fingerprint once, memo forever.
@@ -201,7 +232,7 @@ class BlockTranslator:
             except RuleError:
                 match = None
             else:
-                match = self._lookup_keys(general, specific)
+                match = self._lookup_keys(general, specific, len(lookup))
             self._memo_put(lookup, match)
         return match
 
@@ -269,7 +300,7 @@ class BlockTranslator:
                 if prefixes is None:
                     prefixes = window_key_prefixes(window)
                 if length <= len(prefixes):
-                    match = self._lookup_keys(*prefixes[length - 1])
+                    match = self._lookup_keys(*prefixes[length - 1], length)
                 else:
                     match = None
                 self._memo_put(window, match)
@@ -607,10 +638,7 @@ class BlockTranslator:
             for flag in sorted(segment.reader_ldf):
                 emit(FLAG_FILLS[flag], CAT_RULE)
             if segment.pc_value is not None:
-                emit(
-                    Instruction("movl", (Imm(segment.pc_value), scratch_reg(4))),
-                    CAT_RULE,
-                )
+                emit(pc_load(segment.pc_value), CAT_RULE)
 
             match = segment.match
             body = match.body
@@ -629,7 +657,7 @@ class BlockTranslator:
                 body, tail = body[:-1], body[-1:]
             for item in body:
                 emit(item, CAT_RULE)
-            applied.append((match.rule, segment.length))
+            applied.append(match.pair)
             for k in range(segment.pos, segment.end):
                 covered[k] = True
                 env_stale |= defs[k].flags_set
@@ -641,8 +669,7 @@ class BlockTranslator:
                 emit(FLAG_SPILLS[flag], CAT_RULE)
                 env_stale.discard(flag)
             if segment.post_testl:
-                dest = _rule_dest_reg(segment)
-                emit(Instruction("testl", (guest_reg(dest), guest_reg(dest))), CAT_RULE)
+                emit(TESTS[_rule_dest_reg(segment)], CAT_RULE)
             for flag in sorted(segment.post_stf - early):
                 emit(FLAG_SPILLS[flag], CAT_RULE)
                 env_stale.discard(flag)
@@ -666,7 +693,7 @@ class BlockTranslator:
             if via_reg is not None:
                 emit(PC_STORES[via_reg], CAT_CONTROL)
             else:
-                emit(Instruction("movl_s", (Imm(target_index * 4), env_pc_mem())), CAT_CONTROL)
+                emit(exit_pc_store(target_index), CAT_CONTROL)
             emit(JMP_DISPATCH, CAT_CONTROL)
 
         if term is not None and term.is_branch and term.cond is not None:

@@ -14,7 +14,7 @@ and the symbolic executor.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, FrozenSet, Optional, Tuple
 
 from repro.isa.operands import Operand, OperandKind, operand_kinds
@@ -48,21 +48,42 @@ class DataType(enum.Enum):
     FLOAT = "float"
 
 
-@dataclass(frozen=True, eq=False)
 class Instruction:
     """A single decoded instruction: mnemonic + operand tuple.
 
-    Hash, equality, and the assembly rendering are cached per instance —
-    instructions serve as memo keys throughout the verification pipeline,
-    and the generated dataclass methods would re-walk the operand tree on
-    every lookup.
+    Immutable, slotted (no per-instance ``__dict__``), and hashed like the
+    ``(mnemonic, operands)`` tuple.  Hash and the assembly rendering are
+    cached per instance: instructions serve as memo keys throughout the
+    verification pipeline and the translator, and recomputing either would
+    re-walk the operand tree on every lookup.  Neither cache is pickled
+    (string hashes differ between processes).
     """
 
+    __slots__ = ("mnemonic", "operands", "_hash", "_str")
+
     mnemonic: str
-    operands: Tuple[Operand, ...] = ()
+    operands: Tuple[Operand, ...]
+
+    def __init__(self, mnemonic: str, operands: Tuple[Operand, ...] = ()) -> None:
+        _set_mnemonic(self, mnemonic)
+        _set_operands(self, operands)
+        _set_hash(self, None)
+        _set_str(self, None)
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.mnemonic, self.operands)
+
+    def __repr__(self) -> str:
+        return f"Instruction(mnemonic={self.mnemonic!r}, operands={self.operands!r})"
 
     def __str__(self) -> str:
-        text = self.__dict__.get("_str")
+        text = self._str
         if text is None:
             if self.operands:
                 text = f"{self.mnemonic} " + ", ".join(
@@ -70,14 +91,14 @@ class Instruction:
                 )
             else:
                 text = self.mnemonic
-            object.__setattr__(self, "_str", text)
+            _set_str(self, text)
         return text
 
     def __hash__(self) -> int:
-        value = self.__dict__.get("_hash")
+        value = self._hash
         if value is None:
             value = hash((self.mnemonic, self.operands))
-            object.__setattr__(self, "_hash", value)
+            _set_hash(self, value)
         return value
 
     def __eq__(self, other) -> bool:
@@ -90,6 +111,13 @@ class Instruction:
     @property
     def kinds(self) -> Tuple[OperandKind, ...]:
         return operand_kinds(self.operands)
+
+
+# Slot setters: ``__init__`` fills the slots past ``__setattr__``.
+_set_mnemonic = Instruction.mnemonic.__set__
+_set_operands = Instruction.operands.__set__
+_set_hash = Instruction._hash.__set__
+_set_str = Instruction._str.__set__
 
 
 #: semantics(state, insn) -> None.  The state carries the value domain.

@@ -60,10 +60,6 @@ def _defs(tb):
     return tuple(X86.defn(insn) for insn in tb.host)
 
 
-def _never(state, counts):
-    raise AssertionError("the guarded form never tiers up")
-
-
 def _execute_counted(cb, state, counts):
     """Run *cb* once the way the engine does: its code plus the block's
     constant per-execution counts folded in."""
@@ -199,7 +195,7 @@ class TestControlFlow:
         def interp(st, counts):
             HostExecutor(st).run_block(tb, counts)
 
-        for cb in (compile_block(tb), bind_block(tb, tier_up=_never, after=1)):
+        for cb in (compile_block(tb), bind_block(tb, after=1)):
             assert cb.host_counts == () and cb.execute.func is compiler._interpret
             outcomes = []
             for execute in (cb.execute, interp):
@@ -548,22 +544,41 @@ class TestTierUp:
     def test_template_calls_tier_up_on_the_nth_execution(self):
         tb = self._tb()
         calls = []
+        compiler.add_compile_listener(calls.append)
+        try:
+            cb = bind_block(tb, after=3)
+            assert type(cb) is compiler.TemplateBlock
+            assert cb.host_counts == block_host_counts(tb)
+            state = ConcreteState()
+            state.reset_flags()
+            state.regs.update(g_r0=0, g_r1=0)
+            before = STATS.snapshot()
+            for k in range(5):
+                cb.execute(state, {})
+                assert calls == ([tb] if k >= 2 else [])  # the third call compiles
+        finally:
+            compiler.remove_compile_listener(calls.append)
+        delta = STATS.delta(before)
+        assert (delta.jit_tierups_count, delta.jit_tierups_reuse) == (1, 0)
+        assert type(cb) is CompiledBlock and cb.runs is None
+        assert cb.execute.__name__ == "_block"
+        assert state.regs["g_r0"] == 5 and state.regs["g_r1"] == 99
 
-        def tier_up(ref, state, counts):
-            calls.append(state.regs["g_r0"])
-            ref().execute = compile_block(tb).execute
-            ref().execute(state, counts)
-
-        cb = bind_block(tb, tier_up=tier_up, after=3)
-        assert cb.host_counts == block_host_counts(tb)
+    def test_left_at_zero_tiers_up_as_reuse(self):
+        """The engine sets ``left`` to 0 when a later run starts: the next
+        execution compiles and counts as a reuse tier-up."""
+        cb = bind_block(self._tb(), after=1000)
         state = ConcreteState()
         state.reset_flags()
         state.regs.update(g_r0=0, g_r1=0)
-        for _ in range(5):
-            cb.execute(state, {})
-        assert calls == [2]  # the third call, before it ran
-        assert cb.execute.__name__ == "_block"
-        assert state.regs["g_r0"] == 5 and state.regs["g_r1"] == 99
+        cb.execute(state, {})
+        assert type(cb) is compiler.TemplateBlock
+        cb.left = 0
+        before = STATS.snapshot()
+        cb.execute(state, {})
+        delta = STATS.delta(before)
+        assert (delta.jit_tierups_count, delta.jit_tierups_reuse) == (0, 1)
+        assert cb.execute.__name__ == "_block" and state.regs["g_r0"] == 2
 
     def test_without_tier_up_the_template_form_stays(self):
         cb = bind_block(self._tb())

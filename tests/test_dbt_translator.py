@@ -190,7 +190,7 @@ class TestSharedGlue:
 
     @pytest.mark.parametrize("stage", ["qemu", "condition"])
     def test_two_programs_share_glue_objects(self, demo_pair, demo_setup, stage):
-        from repro.dbt import compiler, runtime
+        from repro.dbt import runtime
 
         config = demo_setup.configs[stage]
         programs = [
@@ -228,6 +228,13 @@ class TestSharedGlue:
         spills = set() if stage == "condition" else {"spill", "fill"}
         assert {"entry", "exit", "pc", "jmp"} | spills <= used[0] | used[1]
         assert {"entry", "exit", "jmp"} <= used[0] & used[1]
-        # The template form binds each glue instruction once per process.
-        assert compiler._GLUE_FNS
-        assert all(id(insn) in runtime.GLUE_IDS for insn, _dead in compiler._GLUE_FNS)
+        # The template form binds each glue instruction once per process,
+        # and the glue object keeps its functions.
+        glue = {
+            id(insn): insn
+            for blocks in programs
+            for tb in blocks
+            for insn in tb.host
+            if isinstance(insn, runtime.GlueInstruction) and insn.mnemonic != "jmp"
+        }
+        assert glue and all(insn.bound for insn in glue.values())
