@@ -83,7 +83,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.cache import JIT_BLOCKS_BOUND, STATS
 
 from repro.dbt.executor import WEIGHTS, BlockKernel, HostExecutor
-from repro.dbt.runtime import DISPATCH_LABEL, GlueInstruction
+from repro.dbt.runtime import DISPATCH_LABEL, SharedInstruction
 from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
 from repro.isa.flags import NZCV
@@ -692,11 +692,10 @@ def _block_function(runs: List[Tuple[List[str], _Exit]]) -> List[str]:
 # per *shape*: the mnemonic, what the emitters branch on for each operand
 # (:func:`_operand_shape`) and the dead-flag set.  The factory's parameters
 # are the instruction's operand constants, so binding a block is one walk
-# over its operands and one factory call per instruction.  The runtime's
-# shared glue instructions (:class:`repro.dbt.runtime.GlueInstruction`:
-# entry loads, exit stores and stubs, flag spills, fills and recomputes,
-# PC loads) are the one exception: each is bound once per process, and
-# keeps its functions itself.
+# over its operands and one factory call per instruction.  Shared
+# instructions (:class:`repro.dbt.runtime.SharedInstruction`: the runtime's
+# glue and the memoized rule bodies) are bound once, and each keeps its
+# function itself.
 
 #: Shape -> factory, for the life of the process.  Keyed by shapes, so
 #: rule-body and TCG instructions pay their binding in every block.
@@ -830,13 +829,18 @@ def _bind_insn(
     return factory(*params, defn.semantics, insn)
 
 
-def _bind_glue(
-    insn: GlueInstruction, defn: InstructionDef, dead: FrozenSet[str]
+def _bind_shared(
+    insn: SharedInstruction, defn: InstructionDef, dead: FrozenSet[str]
 ) -> Callable:
-    """:func:`_bind_insn` for a shared glue instruction, once per process."""
-    fn = insn.bound.get(dead)
-    if fn is None:
-        fn = insn.bound[dead] = _bind_insn(insn, defn, dead)
+    """:func:`_bind_insn` for a shared instruction, which keeps its first
+    binding; a block needing another dead-flag set binds its own.  The
+    function is bound from a plain copy: a semantics fallback's instruction
+    default must not refer back to the instruction holding the function."""
+    bound = insn.bound
+    if bound is not None and bound[0] == dead:
+        return bound[1]
+    fn = _bind_insn(Instruction(insn.mnemonic, insn.operands), defn, dead)
+    insn.keep_bound(dead, fn)
     return fn
 
 
@@ -1107,7 +1111,7 @@ def bind_block(
         insns, dead = _run_insns(defs, start, end)
         runs.append(
             tuple(
-                (_bind_glue if type(host[k]) is GlueInstruction else _bind_insn)(
+                (_bind_shared if type(host[k]) is SharedInstruction else _bind_insn)(
                     host[k], defs[k], dead.get(k, _NONE)
                 )
                 for k in insns

@@ -66,56 +66,63 @@ _ENV_FLAG_MEMS: Dict[str, Mem] = {
     flag: Mem(disp=env_flag_addr(flag)) for flag in _FLAG_ORDER
 }
 
-class GlueInstruction(Instruction):
-    """A host instruction the runtime builds once and every block shares.
+class SharedInstruction(Instruction):
+    """A host instruction object that many blocks emit.
 
-    ``bound`` maps a dead-flag set to the instruction's template-form
-    function; :func:`repro.dbt.compiler.bind_block` fills it, so each glue
-    instruction is bound once per process and its functions live exactly as
-    long as it does.  Glue is recognized by type, not by ``id``: an evicted
-    memo entry takes its marker with it.
+    The runtime's glue below is built once per process, and the translator
+    shares each memoized rule body (:mod:`repro.dbt.translator`) the same
+    way.  ``bound`` keeps the instruction's first template-form binding as
+    a ``(dead-flag set, function)`` pair (:func:`repro.dbt.compiler.bind_block`
+    fills it), so a shared instruction is bound once and its function lives
+    exactly as long as it does.  It is recognized by type, not by ``id``:
+    an evicted memo entry takes its marker with it.
     """
 
     __slots__ = ("bound",)
 
     def __init__(self, mnemonic: str, operands: Tuple) -> None:
         super().__init__(mnemonic, operands)
-        _set_bound(self, {})
+        _set_bound(self, None)
+
+    def keep_bound(self, dead, fn) -> None:
+        """Remember *fn* as the binding for *dead*, unless one is kept."""
+        if self.bound is None:
+            _set_bound(self, (dead, fn))
 
 
-_set_bound = GlueInstruction.bound.__set__
+_set_bound = SharedInstruction.bound.__set__
 
 #: Block prologue: ``movl [env_X], g_X`` per guest register.
-ENTRY_LOADS: Dict[str, GlueInstruction] = {
-    name: GlueInstruction("movl", (_ENV_REG_MEMS[name], GUEST_REGS[name]))
+ENTRY_LOADS: Dict[str, SharedInstruction] = {
+    name: SharedInstruction("movl", (_ENV_REG_MEMS[name], GUEST_REGS[name]))
     for name in _REG_ORDER
 }
 #: Exit stub: ``movl_s g_X, [env_X]`` per guest register.
-EXIT_STORES: Dict[str, GlueInstruction] = {
-    name: GlueInstruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS[name]))
+EXIT_STORES: Dict[str, SharedInstruction] = {
+    name: SharedInstruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS[name]))
     for name in _REG_ORDER
 }
 #: ``bx X`` exit: ``movl_s g_X, [env_pc]`` per guest register.
-PC_STORES: Dict[str, GlueInstruction] = {
-    name: GlueInstruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS["pc"]))
+PC_STORES: Dict[str, SharedInstruction] = {
+    name: SharedInstruction("movl_s", (GUEST_REGS[name], _ENV_REG_MEMS["pc"]))
     for name in _REG_ORDER
 }
 #: Flag recomputation after a rule: ``testl g_X, g_X`` per guest register.
-TESTS: Dict[str, GlueInstruction] = {
-    name: GlueInstruction("testl", (GUEST_REGS[name], GUEST_REGS[name]))
+TESTS: Dict[str, SharedInstruction] = {
+    name: SharedInstruction("testl", (GUEST_REGS[name], GUEST_REGS[name]))
     for name in _REG_ORDER
 }
 #: Host-flag spill (``st<f>f [env_F]``) and fill (``ld<f>f [env_F]``) per flag.
-FLAG_SPILLS: Dict[str, GlueInstruction] = {
-    flag: GlueInstruction(f"st{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
+FLAG_SPILLS: Dict[str, SharedInstruction] = {
+    flag: SharedInstruction(f"st{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
     for flag in _FLAG_ORDER
 }
-FLAG_FILLS: Dict[str, GlueInstruction] = {
-    flag: GlueInstruction(f"ld{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
+FLAG_FILLS: Dict[str, SharedInstruction] = {
+    flag: SharedInstruction(f"ld{flag.lower()}f", (_ENV_FLAG_MEMS[flag],))
     for flag in _FLAG_ORDER
 }
 #: Every exit stub's last instruction.
-JMP_DISPATCH = GlueInstruction("jmp", (Label(DISPATCH_LABEL),))
+JMP_DISPATCH = SharedInstruction("jmp", (Label(DISPATCH_LABEL),))
 
 #: Exit stub ``movl_s #4*target, [env_pc]`` by target guest index, and the
 #: materialized PC ``movl #pc, t4`` before a PC-reading rule by PC value.
@@ -125,20 +132,20 @@ _EXIT_PC_STORES = BoundedMemo(maxsize=1 << 12, name="dbt.runtime.exit_pc_stores"
 _PC_LOADS = BoundedMemo(maxsize=1 << 12, name="dbt.runtime.pc_loads")
 
 
-def exit_pc_store(target_index: int) -> GlueInstruction:
+def exit_pc_store(target_index: int) -> SharedInstruction:
     """The exit stub storing guest index *target_index* as the next PC."""
     insn = _EXIT_PC_STORES.get(target_index, None)
     if insn is None:
-        insn = GlueInstruction("movl_s", (Imm(target_index * 4), _ENV_REG_MEMS["pc"]))
+        insn = SharedInstruction("movl_s", (Imm(target_index * 4), _ENV_REG_MEMS["pc"]))
         _EXIT_PC_STORES.put(target_index, insn)
     return insn
 
 
-def pc_load(pc_value: int) -> GlueInstruction:
+def pc_load(pc_value: int) -> SharedInstruction:
     """``movl #pc_value, t4``: a PC read materialized for a rule (fig. 9)."""
     insn = _PC_LOADS.get(pc_value, None)
     if insn is None:
-        insn = GlueInstruction("movl", (Imm(pc_value), SCRATCH_REGS[4]))
+        insn = SharedInstruction("movl", (Imm(pc_value), SCRATCH_REGS[4]))
         _PC_LOADS.put(pc_value, insn)
     return insn
 

@@ -41,6 +41,7 @@ from repro.dbt.runtime import (
     JMP_DISPATCH,
     PC_STORES,
     TESTS,
+    SharedInstruction,
     exit_pc_store,
     guest_reg,
     pc_load,
@@ -644,11 +645,14 @@ class BlockTranslator:
             body = match.body
             if body is None:
                 # A RuleError propagates and leaves the body unset.
-                body = match.body = match.rule.instantiate(
-                    segment.window,
-                    host_reg=_host_reg,
-                    scratch=_rule_scratch,
-                    label_map=_exit_taken,
+                body = match.body = tuple(
+                    SharedInstruction(insn.mnemonic, insn.operands)
+                    for insn in match.rule.instantiate(
+                        segment.window,
+                        host_reg=_host_reg,
+                        scratch=_rule_scratch,
+                        label_map=_exit_taken,
+                    )
                 )
             # Flag glue goes before a window-terminating branch (both paths
             # must observe the spilled flags) but after everything else.

@@ -6,6 +6,7 @@ reference interpreter's.
 """
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -316,6 +317,130 @@ class TestAcyclicGarbage:
             return engine, result
 
         self._assert_freed(run, chained=False)
+
+
+def _variants(round_index: int):
+    """One fixed never-seen variant of each SPEC stand-in (seed 1)."""
+    from repro.workloads import BENCHMARK_NAMES, PROFILE_BY_NAME, generate_source, mutate_profile
+
+    pairs = []
+    for i, name in enumerate(BENCHMARK_NAMES):
+        profile = mutate_profile(PROFILE_BY_NAME[name], 1_000_003 + 101 * round_index + i)
+        pairs.append(compile_pair(profile.name, generate_source(profile), pic=profile.pic))
+    return pairs
+
+
+def _cold_engines(pairs):
+    from repro.experiments.common import full_suite_setup
+
+    config = full_suite_setup().configs["condition"]
+    engines = []
+    for pair in pairs:
+        engine = DBTEngine(pair.guest, config, chaining=True, backend="jit")
+        engine.run()
+        engines.append(engine)
+    return engines
+
+
+class TestColdFootprint:
+    """What a translated cold jit block keeps alive.
+
+    A cold engine's objects live for its whole run, so the collector
+    promotes every GC-tracked one, and full collections run in proportion
+    to the objects promoted per op (DESIGN §7.10, "Why the count is the
+    cost").  The census: one round of unseen programs warms the template
+    factories and memos, then a second round runs on fresh engines kept
+    alive, and the tracked objects that survive ``gc.collect()`` are
+    divided by the blocks translated.
+    """
+
+    #: Tracked objects per translated block (full-suite rules, condition
+    #: stage, these 1,507 blocks): 63.4 before shared exit stubs, slotted
+    #: instructions and trigger-free template blocks, 33.7 with them.
+    BUDGET = 35
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 every plain object's attributes are a tracked dict "
+        "of their own, so the count measures another layout",
+    )
+    def test_tracked_objects_per_block(self):
+        _cold_engines(_variants(0))  # warm-up round, dropped
+        pairs = _variants(1)
+        gc.collect()
+        before = len(gc.get_objects())
+        engines = _cold_engines(pairs)
+        gc.collect()
+        kept = len(gc.get_objects()) - before
+        blocks = sum(len(engine.code_cache) for engine in engines)
+        assert blocks > 1000
+        assert kept / blocks <= self.BUDGET, f"{kept / blocks:.2f} tracked objects per block"
+
+
+class TestSharedHostInstructions:
+    """Exit stubs, flag recomputes and PC loads are the runtime's objects,
+    shared by every engine; the address-keyed ones live in bounded memos."""
+
+    @staticmethod
+    def _synthesized(engine):
+        """The exit stubs, ``testl`` recomputes and PC loads *engine*
+        emitted, by kind, each checked to be the runtime's own object."""
+        from repro.dbt import runtime
+        from repro.isa.operands import Imm
+
+        testls = {id(insn) for insn in runtime.TESTS.values()}
+        found = {"stub": set(), "testl": set(), "pc": set()}
+        for entry in engine.code_cache.values():
+            for insn, category in zip(entry.tb.host, entry.tb.categories):
+                first = insn.operands[0] if insn.operands else None
+                if category == "control" and isinstance(first, Imm):
+                    assert insn is runtime.exit_pc_store(first.value // 4)
+                    found["stub"].add(id(insn))
+                elif id(insn) in testls:
+                    found["testl"].add(id(insn))
+                elif insn.operands[1:] == (runtime.SCRATCH_REGS[4],) and isinstance(first, Imm):
+                    assert insn is runtime.pc_load(first.value)
+                    found["pc"].add(id(insn))
+        return found
+
+    def test_two_engines_emit_the_same_objects(self):
+        # Two variants of each of two stand-ins: the first pair recomputes
+        # flags with testl, the second materializes PCs.
+        old, new = _variants(0), _variants(1)
+        found = [
+            self._synthesized(engine)
+            for engine in _cold_engines([old[5], new[5], old[11], new[11]])
+        ]
+        assert found[0]["stub"] & found[1]["stub"]
+        assert found[0]["testl"] & found[1]["testl"]
+        assert found[2]["pc"] & found[3]["pc"]
+
+    def test_address_tables_stay_within_their_bound(self, monkeypatch):
+        from repro.dbt import runtime
+
+        pairs = _variants(1)[:4]
+        reference = [
+            [repr(entry.tb.host) for entry in engine.code_cache.values()]
+            for engine in _cold_engines(pairs)
+        ]
+        tables = (runtime._EXIT_PC_STORES, runtime._PC_LOADS)
+        for table in tables:
+            monkeypatch.setattr(table, "maxsize", 4)
+            table.clear()
+        sizes = []
+        real_put = type(tables[0]).put
+
+        def put(memo, key, value):
+            real_put(memo, key, value)
+            sizes.append(len(memo))
+
+        monkeypatch.setattr(type(tables[0]), "put", put)
+        bounded = [
+            [repr(entry.tb.host) for entry in engine.code_cache.values()]
+            for engine in _cold_engines(pairs)
+        ]
+        assert bounded == reference
+        assert sizes and max(sizes) <= 4
 
 
 class TestChainMaps:
