@@ -916,14 +916,15 @@ class TemplateBlock(CompiledBlock):
     run: the tuple of its functions, which execute in order, and its exit
     ``(predicate, taken, fall)``, which picks the next run (by position in
     ``runs``) or leaves the block; nothing is counted, as in the
-    ``_block`` form.  An exit names its predicate by its
-    :data:`_PRED_FN` key, so it holds no object the collector tracks.  ``left`` counts down to tier-up:
-    the execution that finds it at 1 (the count trigger) or at 0 (set by
-    the engine when a later run starts: the reuse trigger) compiles the
-    inline form instead, and the object becomes a plain
-    :class:`CompiledBlock` in place (the two classes share one layout).
-    The block needs no trigger object: no closure, partial or weak
-    reference, and so nothing in it refers back to it.
+    ``_block`` form.  An exit names its predicate by its :data:`_PRED_FN`
+    key, so it holds no object the collector tracks.
+
+    ``left`` counts down to tier-up: the execution that finds it at 1 (the
+    count trigger) or at 0 (set by the engine when a later run starts: the
+    reuse trigger) compiles the inline form instead, and the object
+    becomes a plain :class:`CompiledBlock` in place (the two classes share
+    one layout).  So the block needs no trigger object (no closure,
+    partial or weak reference), and nothing in it refers back to it.
     """
 
     __slots__ = ()

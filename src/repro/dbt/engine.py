@@ -16,9 +16,9 @@ Execution backends share the code cache (``--backend`` on the CLI):
   generated, compiled function (straight-line runs fused) on its
   :data:`TIER_UP_EXECUTIONS`-th execution in a run, or on its first
   execution in a later run; the swap happens in place on the
-  :class:`~repro.dbt.compiler.TemplateBlock`.  Neither form counts anything: each
-  block's constant counts are multiplied by its execution count at run
-  end.  With ``chaining=True`` hot block edges transfer directly between
+  :class:`~repro.dbt.compiler.TemplateBlock`.  Neither form counts
+  anything: each block's constant counts are multiplied by its execution
+  count at run end.  With ``chaining=True`` hot block edges transfer directly between
   block bodies without returning to this dispatch loop.
 * ``trace`` — the jit block tier plus hot-cycle superblocks
   (:mod:`repro.dbt.trace`).
@@ -219,8 +219,8 @@ class DBTEngine:
     def _entry(self, index: int, metrics: RunMetrics) -> CodeCacheEntry:
         entry = self.code_cache.get(index)
         if entry is None:
-            entry = CodeCacheEntry(self.translator.translate(self.blockmap.block_at(index)))
-            self.code_cache[index] = entry
+            tb = self.translator.translate(self.blockmap.block_at(index))
+            entry = self.code_cache[index] = CodeCacheEntry(tb)
             metrics.blocks_translated += 1
         return entry
 

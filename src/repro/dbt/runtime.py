@@ -126,8 +126,8 @@ JMP_DISPATCH = SharedInstruction("jmp", (Label(DISPATCH_LABEL),))
 
 #: Exit stub ``movl_s #4*target, [env_pc]`` by target guest index, and the
 #: materialized PC ``movl #pc, t4`` before a PC-reading rule by PC value.
-#: Both domains are bounded by the longest program; 4,096 covers every
-#: program of the benchmark corpus, and an evicted entry is only rebuilt.
+#: Both domains are bounded by the longest program (the benchmark corpus's
+#: has 1,607 instructions), and an evicted entry is only rebuilt.
 _EXIT_PC_STORES = BoundedMemo(maxsize=1 << 12, name="dbt.runtime.exit_pc_stores")
 _PC_LOADS = BoundedMemo(maxsize=1 << 12, name="dbt.runtime.pc_loads")
 
@@ -136,7 +136,8 @@ def exit_pc_store(target_index: int) -> SharedInstruction:
     """The exit stub storing guest index *target_index* as the next PC."""
     insn = _EXIT_PC_STORES.get(target_index, None)
     if insn is None:
-        insn = SharedInstruction("movl_s", (Imm(target_index * 4), _ENV_REG_MEMS["pc"]))
+        operands = (Imm(target_index * 4), _ENV_REG_MEMS["pc"])
+        insn = SharedInstruction("movl_s", operands)
         _EXIT_PC_STORES.put(target_index, insn)
     return insn
 

@@ -159,7 +159,9 @@ class TranslatedBlock:
             rule = pair[0]
             seen = agg.get(rule)
             agg[rule] = pair if seen is None else (rule, seen[1] + pair[1])
-        self.rule_agg = applied if len(agg) == len(applied) else tuple(agg.values())
+        self.rule_agg = (
+            applied if len(agg) == len(applied) else tuple(agg.values())
+        )
 
 
 @dataclass
@@ -644,7 +646,8 @@ class BlockTranslator:
             match = segment.match
             body = match.body
             if body is None:
-                # A RuleError propagates and leaves the body unset.
+                # A RuleError propagates and leaves the body unset.  Body
+                # instructions are shared, so each is bound only once.
                 body = match.body = tuple(
                     SharedInstruction(insn.mnemonic, insn.operands)
                     for insn in match.rule.instantiate(
