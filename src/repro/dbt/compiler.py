@@ -508,6 +508,11 @@ def _run_leaders(tb: TranslatedBlock, defs) -> List[int]:
     return sorted(leaders)
 
 
+#: One object per dead-flag set (a subset of NZCV), so the bindings that
+#: shared instructions keep share their keys.
+_DEAD_SETS: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+
 def _dead_flags(defs, start: int, end: int) -> Dict[int, FrozenSet[str]]:
     """Flags each instruction of ``host[start:end)`` sets that go unread.
 
@@ -522,7 +527,7 @@ def _dead_flags(defs, start: int, end: int) -> Dict[int, FrozenSet[str]]:
         if defn.flags_set:
             unread = defn.flags_set - live
             if unread:
-                dead[k] = unread
+                dead[k] = _DEAD_SETS.setdefault(unread, unread)
             live = live - defn.flags_set
         if defn.flags_read:
             live = live | defn.flags_read
