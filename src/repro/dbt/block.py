@@ -9,6 +9,7 @@ before the next leader.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.isa.arm.opcodes import ARM
@@ -32,8 +33,9 @@ class BlockMap:
 
     The map keeps each block's bounds as plain ints (a dict of ints is not
     tracked by the cyclic collector) and builds :class:`Block` values on
-    request: an engine's map lives as long as the engine, and most of its
-    blocks are only looked up once.
+    request: an engine's map lives as long as the engine and looks each
+    block up once.  ``blocks`` is built on first read (the serving layer
+    walks it per request; an engine never reads it).
     """
 
     def __init__(self, unit: CompiledUnit) -> None:
@@ -48,7 +50,7 @@ class BlockMap:
         ordered = sorted(index for index in leaders if index < n)
         self._ends: Dict[int, int] = dict(zip(ordered, ordered[1:] + [n]))
 
-    @property
+    @cached_property
     def blocks(self) -> List[Block]:
         """Every block, in address order."""
         return [Block(start, end) for start, end in self._ends.items()]
@@ -70,9 +72,10 @@ class BlockMap:
         guest code that carries flags across block boundaries.
         """
         live = set()
-        for block in self.blocks:
+        instructions = self.unit.real_instructions
+        for start, end in self._ends.items():
             written = set()
-            for insn in self.instructions(block):
+            for insn in instructions[start:end]:
                 defn = ARM.defn(insn)
                 live |= defn.flags_read - written
                 written |= defn.flags_set
