@@ -121,7 +121,8 @@ class TranslatedBlock:
     aggregates, so the engine's per-execution accounting is O(1) per
     block instead of re-summing ``covered``/``applied``.  The pairs are the
     window matches' own, and ``rule_agg`` reuses them (and ``applied``
-    itself when no rule repeats): a block keeps no tuples of its own.
+    itself when no rule repeats), so a block adds a pair of its own only
+    for a rule it applies more than once.
     """
 
     __slots__ = (
