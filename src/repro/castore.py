@@ -1,9 +1,8 @@
 """One content-addressed store: digest -> verified JSON payload.
 
 Every rebuildable on-disk artifact in the repo goes through :class:`CAStore`:
-the derivation cache (:class:`repro.cache.DiskCache`), the serving layer's
-generated-code cache (:class:`repro.service.diskcode.DiskCodeCache`) and the
-pipeline's stage artifacts (:class:`repro.pipeline.artifacts.ArtifactStore`).
+the derivation cache (:class:`repro.cache.DiskCache`) and the pipeline's
+stage artifacts (:class:`repro.pipeline.artifacts.ArtifactStore`).
 Those are thin adapters that own only their key parts, their decode step and
 their public method names; the entry format, the publish discipline and the
 fault model below live here and nowhere else.
@@ -196,20 +195,6 @@ class CAStore:
 
     # -- single flight -------------------------------------------------------
 
-    def claim_or_wait(self, digest: str, decode: Decode = None) -> Tuple[str, Any]:
-        """:func:`repro.fslock.claim_or_wait` on this entry's lock."""
-        return fslock.claim_or_wait(
-            self.lock_path(digest),
-            lambda: self.load(digest, decode),
-            stale_lock_seconds=self.stale_lock_seconds,
-            wait_timeout=self.wait_timeout,
-            poll_interval=self.poll_interval,
-            on_event=lambda event: self._incr(event + "s"),
-        )
-
-    def release(self, digest: str) -> None:
-        fslock.release(self.lock_path(digest))
-
     def get_or_build(
         self,
         digest: str,
@@ -227,7 +212,15 @@ class CAStore:
         value = self.load(digest, decode)
         if value is not None:
             return value, HIT
-        outcome, value = self.claim_or_wait(digest, decode)
+        lock = self.lock_path(digest)
+        outcome, value = fslock.claim_or_wait(
+            lock,
+            lambda: self.load(digest, decode),
+            stale_lock_seconds=self.stale_lock_seconds,
+            wait_timeout=self.wait_timeout,
+            poll_interval=self.poll_interval,
+            on_event=lambda event: self._incr(event + "s"),
+        )
         if outcome == fslock.CACHED:
             return value, HIT
         try:
@@ -236,7 +229,7 @@ class CAStore:
             self.store(digest, value if encode is None else encode(value))
         finally:
             if outcome == fslock.CLAIMED:
-                self.release(digest)
+                fslock.release(lock)
         return value, BUILT
 
     # -- maintenance ---------------------------------------------------------

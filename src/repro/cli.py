@@ -300,7 +300,6 @@ def _cmd_serve(args) -> int:
             max_queue=args.max_queue,
             handlers=args.handlers,
             request_timeout=args.timeout,
-            disk_code_dir=args.code_cache_dir,
             ruleset_store=args.ruleset_store,
             watch_interval=args.watch_interval,
         )
@@ -563,15 +562,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "retryable backpressure errors")
     serve.add_argument("--workers", type=int, default=1,
                        help="pre-fork worker processes sharing the listener "
-                            "and an on-disk code cache (1 = single process)")
+                            "(1 = single process)")
     serve.add_argument("--handlers", type=int, default=8,
                        help="concurrent asyncio request handlers per process")
     serve.add_argument("--pool-dir", default=None,
-                       help="pool runtime directory (worker stats + shared "
-                            "code cache); default: fresh temp dir")
-    serve.add_argument("--code-cache-dir", default=None,
-                       help="cross-process code cache directory for a "
-                            "single-process server (pools set their own)")
+                       help="pool runtime directory (pool.json + worker "
+                            "stats); default: fresh temp dir")
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="per-request timeout in seconds")
     serve.add_argument("--ruleset-store", default=None, metavar="DIR",

@@ -96,22 +96,15 @@ _M = "0xFFFFFFFF"
 
 _NONE: FrozenSet[str] = frozenset()
 
-#: Bump whenever generated block source changes shape or meaning.  It is
-#: part of the disk code cache key, so entries written by an older
-#: codegen become misses instead of being executed.
-BLOCK_CODEGEN_VERSION = "block-v4"
-
 #: Run-index sentinel: control leaves the block (the dispatch-label exit).
 EXIT = -1
 
 #: Observers notified with the :class:`TranslatedBlock` on every source
-#: **generation** (:func:`generate_block_source`, which every
-#: ``compile_block`` call goes through).  Re-instantiating cached source
-#: with :func:`compile_block_source` does *not* fire listeners: the serving
-#: layer's single-flight tests use the listener count to prove that
-#: concurrent identical requests — within one process or across a pre-fork
-#: worker pool sharing a disk code cache — coalesce onto exactly one
-#: codegen.  Keep listeners cheap; they run on the compile path.
+#: **generation** (:func:`generate_block_source`, which every inline
+#: ``compile_block`` call goes through); :func:`compile_block_source` alone
+#: does *not* fire them.  The serving layer's single-flight tests use the
+#: listener count to prove that concurrent identical requests coalesce onto
+#: exactly one codegen.  Keep listeners cheap; they run on the compile path.
 _COMPILE_LISTENERS: List = []
 
 
@@ -971,57 +964,16 @@ class TemplateBlock(CompiledBlock):
 
 @dataclass(frozen=True)
 class BlockSource:
-    """The portable product of block codegen: source text + host counts.
-
-    Everything here is plain data (strings and ints), so a
-    ``BlockSource`` can be persisted to disk by one process and
-    re-instantiated by another with :func:`compile_block_source` — the
-    objects the generated code references by name (``_sem{k}`` semantics
-    functions and ``_i{k}`` instruction values for untemplated mnemonics)
-    are rebuilt deterministically from the translated block itself, never
-    serialized.
+    """The product of block codegen: source text + host counts.
 
     The text is one accounting-free ``_block`` function, and
     ``host_counts`` is the block's non-empty per-execution cost
-    (:func:`block_host_counts`).
+    (:func:`block_host_counts`).  :func:`compile_block_source` turns it
+    into a :class:`CompiledBlock`.
     """
 
     text: str
     host_counts: HostCounts
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form (the disk code cache's entry payload)."""
-        return {
-            "text": self.text,
-            "host_counts": [list(pair) for pair in self.host_counts],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "BlockSource":
-        """Rebuild from :meth:`to_payload` output; raises on bad shape.
-
-        Counts must be real ints (a JSON ``true`` is not a count), and
-        ``host_counts`` must be non-empty: every block has a cost.
-        """
-        text = payload["text"]
-        host_counts = payload["host_counts"]
-        if (
-            not isinstance(text, str)
-            or not isinstance(host_counts, list)
-            or not host_counts
-            or not all(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and isinstance(pair[0], str)
-                and type(pair[1]) is int
-                for pair in host_counts
-            )
-        ):
-            raise ValueError("malformed BlockSource payload")
-        return cls(
-            text=text,
-            host_counts=tuple((cat, weight) for cat, weight in host_counts),
-        )
 
 
 class _PathDependent(ExecutionError):
@@ -1043,9 +995,7 @@ def generate_block_source(
     """Lower one path-uniform translated block to generated Python source.
 
     Deterministic: the same translated block always yields byte-identical
-    source text, which is what makes the cross-process disk code cache
-    sound — any worker's generation is interchangeable with any other's.
-    Fires the compile listeners (this is the "work happened" event the
+    source text.  Fires the compile listeners (this is the "work happened" event the
     single-flight proofs count).  A block without constant host counts has
     no source form (:func:`compile_block` gives it the guarded form).
     """
@@ -1077,9 +1027,8 @@ def compile_block_source(
     The namespace the source executes in is rebuilt here from the
     translated block: every instruction's shared semantics function and
     instruction value are bound as ``_sem{k}``/``_i{k}`` (a superset of
-    what the source references — unused bindings are free), so source
-    loaded from the disk code cache needs nothing beyond the block it was
-    generated from.
+    what the source references — unused bindings are free), so the source
+    needs nothing beyond the block it was generated from.
     """
     defs = _block_defs(tb, defs)
     ns: Dict = {"ExecutionError": ExecutionError, "_uninit": _uninit}

@@ -42,11 +42,12 @@ from repro.dbt.executor import BlockKernel, HostExecutor
 from repro.dbt.guest_interp import GuestInterpreter
 from repro.dbt.metrics import RunMetrics
 from repro.dbt.runtime import (
+    ENV_BASE,
+    ENV_SLOTS,
     HALT_ADDRESS,
     env_flag_addr,
     env_pc_word,
     env_reg_addr,
-    is_env_address,
 )
 from repro.dbt.trace import TRACE_STATS, CompiledTrace, TraceConfig, form_trace
 from repro.dbt.translator import BlockTranslator, TranslatedBlock, TranslationConfig
@@ -55,6 +56,10 @@ from repro.lang.program import STACK_BASE, CompiledUnit
 from repro.semantics.state import ConcreteState
 
 DEFAULT_MAX_BLOCKS = 2_000_000
+
+#: Word indices of the CPU environment slots (``ENV_BASE`` is word-aligned).
+_ENV_FIRST_WORD = ENV_BASE // 4
+_ENV_END_WORD = _ENV_FIRST_WORD + ENV_SLOTS
 
 #: Execution backends accepted by :class:`DBTEngine`.
 BACKENDS = ("interp", "jit", "trace")
@@ -77,10 +82,11 @@ class DBTRunResult:
 
     def guest_memory(self) -> Dict[int, int]:
         """Guest-visible memory (environment slots excluded)."""
+        first, end = _ENV_FIRST_WORD, _ENV_END_WORD
         return {
-            word_addr: value
-            for word_addr, value in self.state.memory.items()
-            if not is_env_address(word_addr * 4) and value
+            word: value
+            for word, value in self.state.memory.items()
+            if value and not first <= word < end
         }
 
     def architectural_snapshot(self) -> Dict[str, Dict]:

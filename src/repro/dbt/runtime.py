@@ -34,6 +34,9 @@ ENV_BASE = 0x00F0_0000
 _REG_ORDER = tuple(f"r{i}" for i in range(13)) + ("sp", "lr", "pc")
 _FLAG_ORDER = ("N", "Z", "C", "V")
 
+#: Number of word slots in the CPU environment (registers, then flags).
+ENV_SLOTS = len(_REG_ORDER) + len(_FLAG_ORDER)
+
 _REG_SLOT = {name: i for i, name in enumerate(_REG_ORDER)}
 _FLAG_SLOT = {name: len(_REG_ORDER) + i for i, name in enumerate(_FLAG_ORDER)}
 
@@ -170,4 +173,4 @@ def scratch_reg(index: int) -> Reg:
 
 
 def is_env_address(addr: int) -> bool:
-    return ENV_BASE <= addr < ENV_BASE + 4 * (len(_REG_ORDER) + len(_FLAG_ORDER))
+    return ENV_BASE <= addr < ENV_BASE + 4 * ENV_SLOTS

@@ -51,7 +51,7 @@ class ArtifactStore:
     ) -> None:
         # Stage builds (learning, derivation, oracle verification) run
         # seconds-to-minutes, not milliseconds, hence the much longer
-        # stale/wait budgets than the per-block disk code cache.
+        # stale/wait budgets than CAStore's defaults.
         self.root = Path(root)
         self.stale_lock_seconds = stale_lock_seconds
         self.wait_timeout = wait_timeout
@@ -82,9 +82,6 @@ class ArtifactStore:
 
     def entry_path(self, stage: str, digest: str) -> Path:
         return self._stage(stage).entry_path(digest)
-
-    def lock_path(self, stage: str, digest: str) -> Path:
-        return self._stage(stage).lock_path(digest)
 
     def load(self, stage: str, digest: str) -> Optional[Any]:
         """The stored payload for one stage invocation, or None."""

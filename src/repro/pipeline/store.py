@@ -3,7 +3,7 @@
 Layout under one root directory::
 
     bodies/<sha256>.json      content-addressed ruleset bodies (checksummed,
-                              write-once — same discipline as diskcode)
+                              write-once — same discipline as CAStore)
     versions/<version>.json   schema-versioned manifests: body sha256,
                               parent version, training label, stage
                               provenance digests, monotonic sequence number

@@ -8,12 +8,10 @@ pipeline into a long-lived serving system:
 * :mod:`repro.service.codecache` — the single-flight shared code cache
   (concurrent identical translate requests coalesce onto one compile);
 * :mod:`repro.service.stats` — latency histograms and per-endpoint stats;
-* :mod:`repro.service.diskcode` — the cross-process on-disk code cache
-  (content-addressed generated source, lockfile single-flight);
 * :mod:`repro.service.server` — the asyncio TCP server (``repro serve``);
 * :mod:`repro.service.pool` — the pre-fork worker pool
-  (``repro serve --workers N``): one listener, N processes, shared disk
-  code cache, crash respawn, SIGTERM drain fan-out;
+  (``repro serve --workers N``): one listener, N processes, crash
+  respawn, SIGTERM drain fan-out;
 * :mod:`repro.service.loadgen` — the load-generation client
   (``repro loadgen``), which oracle-checks every ``run`` response and
   writes ``BENCH_service.json``; ``--sweep`` records the clients-vs-
@@ -21,7 +19,6 @@ pipeline into a long-lived serving system:
 """
 
 from repro.service.codecache import SingleFlightCodeCache
-from repro.service.diskcode import DiskCodeCache
 from repro.service.loadgen import (
     LoadgenOptions,
     check_loadgen_report,
@@ -46,7 +43,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SingleFlightCodeCache",
-    "DiskCodeCache",
     "LatencyHistogram",
     "EndpointStats",
     "ServiceConfig",

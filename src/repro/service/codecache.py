@@ -36,20 +36,12 @@ BlockKey = Tuple
 
 
 class SingleFlightCodeCache:
-    """LRU of block key -> CodeCacheEntry with single-flight compilation.
+    """LRU of block key -> CodeCacheEntry with single-flight compilation."""
 
-    ``disk`` optionally attaches the cross-process source-level layer
-    (:class:`repro.service.diskcode.DiskCodeCache`): the compile functions
-    passed to :meth:`get_or_compile` consult it themselves (they run in
-    executor threads, where blocking file IO belongs); the cache holds the
-    reference so one :meth:`stats` payload covers both layers.
-    """
-
-    def __init__(self, maxsize: int = 4096, disk: Optional[Any] = None) -> None:
+    def __init__(self, maxsize: int = 4096) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self.disk = disk
         self._lock = threading.Lock()
         self._data: "OrderedDict[BlockKey, Any]" = OrderedDict()
         self._inflight: Dict[BlockKey, "asyncio.Future"] = {}
@@ -72,11 +64,6 @@ class SingleFlightCodeCache:
             self.hits += 1
             return entry
 
-    def peek(self, key: BlockKey) -> Optional[Any]:
-        """Like :meth:`get` but with no counter or recency side effects."""
-        with self._lock:
-            return self._data.get(key)
-
     def publish(self, key: BlockKey, entry: Any) -> None:
         """Insert an entry, evicting least-recently-used keys past the bound."""
         with self._lock:
@@ -89,10 +76,6 @@ class SingleFlightCodeCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
 
     # -- single-flight compile ----------------------------------------------
 
@@ -144,7 +127,7 @@ class SingleFlightCodeCache:
     def stats(self) -> Dict[str, object]:
         with self._lock:
             total = self.hits + self.misses
-            payload: Dict[str, object] = {
+            return {
                 "size": len(self._data),
                 "maxsize": self.maxsize,
                 "hits": self.hits,
@@ -155,6 +138,3 @@ class SingleFlightCodeCache:
                 "evictions": self.evictions,
                 "inflight": len(self._inflight),
             }
-        if self.disk is not None:
-            payload["disk"] = self.disk.stats()
-        return payload

@@ -12,11 +12,10 @@ way classic UNIX network servers do:
 * each **worker** runs the unchanged asyncio serving loop
   (:class:`~repro.service.server.ServiceServer`) with ``accept()`` on the
   inherited socket — the kernel distributes connections across workers;
-* workers share compiled blocks through the **cross-process disk code
-  cache** (:mod:`repro.service.diskcode`) under the pool runtime
-  directory: a block's source generated by any worker is a warm
-  ``compile()``-only hit for every other, with lockfile claim-or-wait
-  extending single-flight across processes;
+* each worker keeps its own in-process code cache and compiles the blocks
+  it serves itself: reading a block's generated source back from disk
+  costs about what regenerating it does, and every worker pays
+  ``compile()`` either way (DESIGN §7.14);
 * the parent **supervises**: a crashed worker (segfault, OOM-kill,
   ``SIGKILL``) is reaped, recorded in the exit accounting, and respawned
   without disturbing in-flight requests on its siblings; SIGTERM to the
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import json
 import os
 import signal
@@ -61,7 +59,7 @@ class PoolConfig:
 
     workers: int = 2
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: pool runtime directory (stats files, disk code cache, pool.json);
+    #: pool runtime directory (stats files, pool.json);
     #: None creates a fresh temp directory.
     directory: Optional[str] = None
     #: total worker respawns before the parent gives up and shuts down.
@@ -125,7 +123,6 @@ def aggregate_pool_stats(directory: str) -> Dict[str, Any]:
 
     errors: Dict[str, int] = {}
     cache_totals: Dict[str, int] = {}
-    disk_totals: Dict[str, int] = {}
     for snapshot in snapshots:
         for code, count in (snapshot.get("errors_by_code") or {}).items():
             errors[code] = errors.get(code, 0) + int(count)
@@ -133,10 +130,6 @@ def aggregate_pool_stats(directory: str) -> Dict[str, Any]:
         for key in ("hits", "misses", "compiles", "coalesced", "evictions"):
             if key in cache:
                 cache_totals[key] = cache_totals.get(key, 0) + int(cache[key])
-        disk = cache.get("disk") or {}
-        for key, value in disk.items():
-            if isinstance(value, int):
-                disk_totals[key] = disk_totals.get(key, 0) + value
 
     workers = [
         {
@@ -166,7 +159,6 @@ def aggregate_pool_stats(directory: str) -> Dict[str, Any]:
                 [s.get("endpoints_raw") or {} for s in snapshots]
             ),
             "code_cache": cache_totals,
-            "disk_code": disk_totals,
             "ruleset_versions": ruleset_versions,
         },
     }
@@ -291,10 +283,6 @@ class PoolSupervisor:
             config.directory = tempfile.mkdtemp(prefix="repro-pool-")
         root = Path(config.directory)
         (root / "stats").mkdir(parents=True, exist_ok=True)
-        if not config.service.disk_code_dir:
-            config.service = dataclasses.replace(
-                config.service, disk_code_dir=str(root / "codecache")
-            )
         # Resolve the serving ruleset once, pre-fork: workers share the
         # rules (store-loaded or trained) copy-on-write.
         from repro.service.server import resolve_ruleset

@@ -53,21 +53,21 @@ from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cache import BoundedMemo, stats_payload
-from repro.dbt.compiler import (
-    CompiledBlock,
-    block_host_counts,
-    compile_block,
+from repro.dbt.compiler import CompiledBlock, compile_block
+
+# Unused here, but kept importable from this module: the per-layer tracer in
+# perfbench/tracer.py wraps the codegen entry points at these names, and
+# tests/test_perfbench_targets.py checks that they resolve.
+from repro.dbt.compiler import (  # noqa: F401
     compile_block_source,
     generate_block_source,
 )
 from repro.dbt.engine import CodeCacheEntry, DBTEngine
-from repro.dbt.executor import BlockKernel
 from repro.dbt.translator import BlockTranslator, TranslationConfig
 from repro.errors import ExecutionError, ReproError
 from repro.param.engine import STAGES, SystemSetup
 from repro.service import protocol
 from repro.service.codecache import SingleFlightCodeCache
-from repro.service.diskcode import DiskCodeCache
 from repro.service.protocol import ProtocolError
 from repro.service.stats import EndpointStats
 
@@ -92,10 +92,6 @@ class ServiceConfig:
     request_timeout: float = 30.0
     #: per-run guest block execution bound (runaway protection).
     max_blocks: int = 500_000
-    #: cross-process shared code cache directory; None disables the disk
-    #: layer (generated source stays in-process only).  The pre-fork pool
-    #: always sets this so sibling workers share compiled blocks.
-    disk_code_dir: Optional[str] = None
     #: enable the test-only ``_sleep`` op (deterministic backpressure /
     #: timeout exercises); never enable on a real deployment.
     debug_ops: bool = False
@@ -252,14 +248,7 @@ class TranslationService:
         self._reload_lock = threading.Lock()
         self.ruleset_swaps = 0
         self._swap_history: list = [ruleset.version]
-        self.disk_code: Optional[DiskCodeCache] = (
-            DiskCodeCache(config.disk_code_dir)
-            if config.disk_code_dir
-            else None
-        )
-        self.code_cache = SingleFlightCodeCache(
-            config.cache_blocks, disk=self.disk_code
-        )
+        self.code_cache = SingleFlightCodeCache(config.cache_blocks)
         self.endpoints = EndpointStats()
         #: set by :mod:`repro.service.pool` on workers; solo servers keep None.
         self.pool_context: Optional[PoolContext] = None
@@ -404,47 +393,13 @@ class TranslationService:
 
     # -- block compilation ----------------------------------------------------
 
-    def _training_key(self, gen: _Generation) -> str:
-        """Disk-code key component identifying corpus *and* ruleset version.
-
-        The ruleset digest is mixed in so blocks compiled under one version
-        can never be served after a hot swap to another — across processes
-        too (two pool workers momentarily on different versions during a
-        rolling reload must not share entries).
-        """
-        return f"{self.config.training}@{gen.ruleset.digest[:16]}"
-
     def _compile_entry(
         self, gen: _Generation, ctx: _UnitContext, stage: str, start: int
     ) -> CodeCacheEntry:
         config = gen.config_for(stage)
         translator = ctx.translator_for(stage, config)
         tb = translator.translate(ctx.blockmap.block_at(start))
-        kernel = BlockKernel(tb)
-        if self.disk_code is None or block_host_counts(tb, kernel.defs) is None:
-            # no disk cache, or the guarded form: it has no source to share
-            compiled = compile_block(tb, kernel.defs)
-        else:
-            compiled = self._compile_via_disk(gen, ctx, stage, start, tb, kernel)
-        return CodeCacheEntry(tb=tb, kernel=kernel, compiled=compiled)
-
-    def _compile_via_disk(self, gen, ctx, stage: str, start: int, tb, kernel):
-        """Compile through the cross-process disk code cache.
-
-        Warm path: hash-verified cached source from any pool worker is
-        re-instantiated with a local ``compile()`` — no codegen, no
-        compile-listener fire.  Cold path: one worker generates and
-        publishes while the others wait (a wait timeout degrades to
-        duplicated local codegen, never a stall or an error).  Runs in an
-        executor thread, so the blocking file IO here is fine.
-        """
-        digest = self.disk_code.key(
-            ctx.digest, stage, start, self._training_key(gen)
-        )
-        source = self.disk_code.get_or_build(
-            digest, partial(generate_block_source, tb, kernel.defs)
-        )
-        return compile_block_source(tb, source, kernel.defs)
+        return CodeCacheEntry(tb=tb, compiled=compile_block(tb))
 
     async def _ensure_blocks(
         self, gen: _Generation, ctx: _UnitContext, stage: str
@@ -481,7 +436,6 @@ class TranslationService:
         shells = {
             index: CodeCacheEntry(
                 tb=entry.tb,
-                kernel=entry.kernel,
                 compiled=CompiledBlock(
                     entry.tb, entry.compiled.execute, entry.compiled.host_counts
                 ),

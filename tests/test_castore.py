@@ -1,70 +1,30 @@
 """Fault injection against the one content-addressed store (``repro.castore``).
 
 Every rebuildable on-disk cache is an adapter over :class:`CAStore`: the
-serving layer's generated-code cache, the pipeline's stage artifacts and the
-derivation cache.  Each attack below runs against all three and must end in
-a miss or in no persistence: nothing raises, and no tampered payload ever
-reaches a decoder (and so never reaches ``compile()`` or a rule set).
+pipeline's stage artifacts and the derivation cache.  Each attack below runs
+against both and must end in a miss or in no persistence: nothing raises,
+and no tampered payload ever reaches a decoder (and so never reaches a rule
+set).  The claim-or-wait cases at the end drive :meth:`CAStore.get_or_build`
+itself, within one process and across forked ones.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
 from repro import castore
+from repro import fslock
 from repro.cache import MISS, DiskCache
-from repro.dbt.compiler import BlockSource
+from repro.castore import BUILT, HIT, CAStore, canonical_digest
 from repro.pipeline.artifacts import ArtifactStore, artifact_digest
-from repro.service import diskcode
-from repro.service.diskcode import DiskCodeCache
 
 TAG = "PAYLOAD-original"
-
-
-class _CodeTarget:
-    """DiskCodeCache: block source keyed by block start."""
-
-    def __init__(self, root, monkeypatch):
-        self.root = root
-        self.cache = DiskCodeCache(root)
-        self.seen = []
-        seen = self.seen
-
-        class _SpyBlockSource(BlockSource):
-            @classmethod
-            def from_payload(cls, payload):
-                seen.append(payload["text"])
-                return BlockSource.from_payload(payload)
-
-        monkeypatch.setattr(diskcode, "BlockSource", _SpyBlockSource)
-
-    def _digest(self, which):
-        return self.cache.key("unit", "condition", which, "quick")
-
-    def put(self, tag, which=0):
-        self.cache.store(
-            self._digest(which),
-            BlockSource(text=tag, host_counts=(("tcg", 1),)),
-        )
-
-    def get(self, which=0):
-        source = self.cache.load(self._digest(which))
-        return None if source is None else source.text
-
-    def path(self, which=0):
-        return self.cache.entry_path(self._digest(which))
-
-    def get_or_build(self, tag):
-        return self.cache.get_or_build(
-            self._digest(0),
-            lambda: BlockSource(text=tag, host_counts=(("tcg", 1),)),
-        ).text
-
-    def corrupt_count(self):
-        return self.cache.stats()["corrupt"]
 
 
 class _ArtifactTarget:
@@ -135,8 +95,8 @@ class _DeriveTarget:
 
 
 @pytest.fixture(
-    params=[_CodeTarget, _ArtifactTarget, _DeriveTarget],
-    ids=["diskcode", "artifacts", "derive-cache"],
+    params=[_ArtifactTarget, _DeriveTarget],
+    ids=["artifacts", "derive-cache"],
 )
 def make_target(request, monkeypatch):
     return lambda root: request.param(root, monkeypatch)
@@ -228,3 +188,146 @@ class TestFaultInjection:
         assert target.get() is None
         leftovers = [name for _, _, files in os.walk(target.root) for name in files]
         assert leftovers == []  # no entry and no stray temp file
+
+
+# ---------------------------------------------------------------------------
+# claim-or-wait single flight through CAStore.get_or_build
+
+FORMAT = "test-v1"
+DIGEST = canonical_digest("unit", 0)
+
+
+def _store(root, **budgets) -> CAStore:
+    return CAStore(root, FORMAT, **budgets)
+
+
+class _Builds:
+    """A ``build()`` that records each call and returns *value*."""
+
+    def __init__(self, value=TAG):
+        self.value = value
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.value
+
+
+class TestClaimOrWait:
+    def test_waiter_times_out_against_live_lock(self, tmp_path):
+        """A healthy (fresh) foreign lock with no publication: the waiter
+        gives up at ``wait_timeout`` and builds locally — duplicated work,
+        never a stall."""
+        store = _store(tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2)
+        assert fslock.try_claim(store.lock_path(DIGEST))  # another process's lock
+        build = _Builds()
+        started = time.monotonic()
+        assert store.get_or_build(DIGEST, build) == (TAG, BUILT)
+        assert time.monotonic() - started < 5.0
+        assert build.calls == 1
+        assert store.counters()["wait_timeouts"] == 1
+        assert store.lock_path(DIGEST).exists()  # not ours to release
+
+    def test_timed_out_waiter_builds_and_publishes_once(self, tmp_path):
+        """After a wait timeout against a live lock the waiter builds and
+        publishes; the claimant's later store is a no-op, so the entry is
+        written exactly once and the first writer's stays."""
+        holder = _store(tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2)
+        assert fslock.try_claim(holder.lock_path(DIGEST))
+        waiter = _store(tmp_path, stale_lock_seconds=60.0, wait_timeout=0.2)
+        build = _Builds()
+        assert waiter.get_or_build(DIGEST, build) == (TAG, BUILT)
+        assert build.calls == 1
+        counters = waiter.counters()
+        assert counters["wait_timeouts"] == 1
+        assert counters["builds"] == 1 and counters["writes"] == 1
+        assert holder.lock_path(DIGEST).exists()  # not ours to release
+        assert holder.store(DIGEST, "PAYLOAD-second") is False
+        assert holder.load(DIGEST) == TAG
+        assert holder.entry_count() == 1
+
+    def test_stale_lock_from_dead_claimant_is_broken(self, tmp_path):
+        store = _store(tmp_path, stale_lock_seconds=0.2, wait_timeout=10.0)
+        lock = store.lock_path(DIGEST)
+        assert fslock.try_claim(lock)
+        # Backdate the lockfile: its claimant "died" long ago.
+        old = time.time() - 60.0
+        os.utime(lock, (old, old))
+        waiter = _store(tmp_path, stale_lock_seconds=0.2, wait_timeout=10.0)
+        build = _Builds()
+        assert waiter.get_or_build(DIGEST, build) == (TAG, BUILT)
+        assert build.calls == 1
+        counters = waiter.counters()
+        assert counters["stale_breaks"] == 1 and counters["claims"] == 1
+        assert counters["wait_timeouts"] == 0
+        assert not lock.exists()  # the new claimant released it
+        assert waiter.load(DIGEST) == TAG
+
+    def test_waiter_picks_up_late_publication(self, tmp_path):
+        """The claimant publishes while the waiter polls: the waiter returns
+        the published payload instead of building."""
+        store = _store(tmp_path, wait_timeout=10.0)
+        lock = store.lock_path(DIGEST)
+        assert fslock.try_claim(lock)
+
+        def publish():
+            time.sleep(0.05)
+            store.store(DIGEST, TAG)
+            fslock.release(lock)
+
+        thread = threading.Thread(target=publish)
+        thread.start()
+        waiter = _store(tmp_path, wait_timeout=10.0)
+        build = _Builds("PAYLOAD-local")
+        assert waiter.get_or_build(DIGEST, build) == (TAG, HIT)
+        thread.join()
+        assert build.calls == 0
+        assert waiter.counters()["waits"] >= 1
+
+
+def _stampede_child(root, barrier, results):
+    """One racing process: get_or_build on one digest, report the outcome."""
+    store = _store(root, wait_timeout=30.0)
+    barrier.wait()  # every child reaches get_or_build at the same instant
+    value, outcome = store.get_or_build(DIGEST, _Builds())
+    results.put(
+        {
+            "pid": os.getpid(),
+            "outcome": outcome,
+            "value": value,
+            "builds": store.counters()["builds"],
+            "writes": store.counters()["writes"],
+        }
+    )
+
+
+class TestCrossProcessStampede:
+    def test_n_processes_one_write(self, tmp_path):
+        """The cold-start stampede, deterministically: N forked processes
+        race ``get_or_build`` for one digest.  Exactly one builds and
+        writes; every other process waits and reads the winner's entry."""
+        ctx = multiprocessing.get_context("fork")
+        n = 4
+        barrier = ctx.Barrier(n)
+        results = ctx.Queue()
+        children = [
+            ctx.Process(target=_stampede_child, args=(tmp_path, barrier, results))
+            for _ in range(n)
+        ]
+        for child in children:
+            child.start()
+        outcomes = [results.get(timeout=60) for _ in range(n)]
+        for child in children:
+            child.join(timeout=60)
+            assert child.exitcode == 0
+        built = [o for o in outcomes if o["outcome"] == BUILT]
+        hit = [o for o in outcomes if o["outcome"] == HIT]
+        assert len(built) == 1, outcomes
+        assert built[0]["builds"] == 1 and built[0]["writes"] == 1
+        assert len(hit) == n - 1
+        assert all(o["value"] == TAG and o["builds"] == 0 for o in hit)
+        # exactly one entry file on disk, loadable, no leftover lock
+        store = _store(tmp_path)
+        assert store.entry_count() == 1
+        assert store.load(DIGEST) == TAG
+        assert not store.lock_path(DIGEST).exists()

@@ -23,10 +23,13 @@ from repro.dbt.compiler import (
     _bind_insn,
     _emit_insn,
     _run_graph,
+    add_compile_listener,
     bind_block,
     block_host_counts,
     compile_block,
+    compile_block_source,
     generate_block_source,
+    remove_compile_listener,
 )
 from repro.dbt.executor import WEIGHTS, BlockKernel, HostExecutor
 from repro.dbt.runtime import DISPATCH_LABEL
@@ -708,3 +711,42 @@ class TestEngineIntegration:
         # Re-running reuses the chain map: every repeat edge is chained.
         again = engine.run().metrics
         assert again.chained_executions > metrics.chained_executions
+
+
+@pytest.fixture(scope="module")
+def demo_block(demo_pair, demo_setup):
+    """First translated block of the demo program + its decoded defs."""
+    from repro.dbt.block import BlockMap
+    from repro.dbt.translator import BlockTranslator
+
+    unit = demo_pair.guest
+    blockmap = BlockMap(unit)
+    translator = BlockTranslator(unit, blockmap, demo_setup.configs["condition"])
+    tb = translator.translate(blockmap.blocks[0])
+    return tb, BlockKernel(tb).defs
+
+
+class TestSourceGeneration:
+    def test_codegen_is_deterministic(self, demo_block):
+        tb, defs = demo_block
+        assert generate_block_source(tb, defs) == generate_block_source(tb, defs)
+
+    def test_compile_listener_fires_on_generation_only(self, demo_block):
+        """Listeners count *codegen* (work happened): generating source and
+        ``compile_block`` fire them once, instantiating existing source
+        with ``compile_block_source`` does not — the accounting the
+        service's single-flight tests rely on."""
+        tb, defs = demo_block
+        source = generate_block_source(tb, defs)
+        fired = []
+        listener = lambda block: fired.append(block.start)  # noqa: E731
+        add_compile_listener(listener)
+        try:
+            compile_block_source(tb, source, defs)
+            assert fired == []
+            generate_block_source(tb, defs)
+            assert fired == [tb.start]
+            compile_block(tb, defs)
+            assert fired == [tb.start, tb.start]
+        finally:
+            remove_compile_listener(listener)

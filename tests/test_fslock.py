@@ -1,8 +1,8 @@
 """The shared single-flight lockfile helpers (``repro.fslock``).
 
-Extracted from the disk code cache so the pipeline artifact store and the
-ruleset store share one claim-or-wait protocol; these tests pin the
-protocol itself — the diskcode fault-injection battery pins its use.
+The pipeline artifact store and the ruleset store share one claim-or-wait
+protocol; these tests pin the protocol itself, and the claim-or-wait cases
+in ``tests/test_castore.py`` pin its use through ``CAStore.get_or_build``.
 """
 
 from __future__ import annotations

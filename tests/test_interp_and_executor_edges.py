@@ -128,6 +128,30 @@ fn_main:
         assert memory.get(4096 // 4) == 7
         assert not any(is_env_address(addr * 4) for addr in memory)
 
+    def test_guest_memory_matches_per_word_env_check(self):
+        """The word-index range check keeps exactly the words the per-word
+        ``is_env_address`` definition keeps."""
+        from repro.dbt.engine import DBTRunResult
+        from repro.dbt.metrics import RunMetrics
+        from repro.semantics.state import ConcreteState
+
+        state = ConcreteState()
+        env_words = [env_reg_addr("r0") // 4, env_flag_addr("V") // 4]
+        edges = [ENV_BASE // 4 - 1, env_flag_addr("V") // 4 + 1]
+        for word in env_words + edges + [0, 1, 4096 // 4, STACK_BASE // 4]:
+            state.memory[word] = word + 1
+        state.memory[7] = 0  # a zero word is not reported
+        state.memory[env_reg_addr("sp") // 4] = 0
+        result = DBTRunResult(RunMetrics(), state)
+        expected = {
+            word: value
+            for word, value in state.memory.items()
+            if not is_env_address(word * 4) and value
+        }
+        assert result.guest_memory() == expected
+        assert set(edges) <= set(expected)
+        assert not set(env_words) & set(expected)
+
 
 class TestChaining:
     def test_chain_rate_and_correctness(self):

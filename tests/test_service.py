@@ -116,7 +116,7 @@ class TestSingleFlightCodeCache:
 
         assert asyncio.run(body()) == "entry"
         assert cache.compiles == 1 and cache.coalesced == 1
-        assert cache.peek(("k",)) == "entry"
+        assert cache.get(("k",)) == "entry"
 
     def test_lru_eviction_accounting(self):
         cache = SingleFlightCodeCache(maxsize=2)
@@ -125,8 +125,8 @@ class TestSingleFlightCodeCache:
         assert cache.get("a") == 1  # touch: "b" is now LRU
         cache.publish("c", 3)
         assert cache.evictions == 1
-        assert cache.peek("b") is None
-        assert cache.peek("a") == 1 and cache.peek("c") == 3
+        assert cache.get("b") is None
+        assert cache.get("a") == 1 and cache.get("c") == 3
         stats = cache.stats()
         assert stats["size"] == 2 and stats["evictions"] == 1
 
@@ -553,12 +553,36 @@ class TestServiceServer:
         assert response["result"]["snapshot"]["regs"]["r0"] == 12
 
 
-class TestDiskCodePath:
-    def test_path_dependent_block_compiles_without_the_disk_cache(
-        self, service_setup, tmp_path
-    ):
+class TestCompileEntry:
+    def test_served_run_builds_no_block_kernel(self, service_setup):
+        """Cached entries carry the compiled body only: neither compiling a
+        block nor running it through per-request shells decodes a
+        ``BlockKernel``, which only the interpreter reads."""
+        program = ["mov r0, #3", "add r0, r0, #1", "bx lr"]
+
+        async def body():
+            server = await start_server(
+                ServiceConfig(port=0, handlers=2), setup=service_setup
+            )
+            try:
+                reader, writer = await _connect(server.port)
+                response = await _rpc(
+                    reader, writer, {"id": 1, "op": "run", "program": program}
+                )
+                writer.close()
+                return response, list(server.service.code_cache._data.values())
+            finally:
+                await server.aclose()
+
+        response, entries = asyncio.run(body())
+        assert response["ok"], response
+        assert response["result"]["snapshot"]["regs"]["r0"] == 4
+        assert entries
+        assert all(entry._kernel is None for entry in entries)
+
+    def test_path_dependent_block_gets_the_guarded_form(self, service_setup):
         """A block with no inline form (backward edge) gets the guarded
-        form with a disk code cache configured too, and publishes nothing."""
+        form, which counts per instruction exactly as the interpreter does."""
         from repro.dbt.executor import HostExecutor
         from repro.dbt.runtime import DISPATCH_LABEL
         from repro.dbt.translator import TranslatedBlock
@@ -585,9 +609,7 @@ class TestDiskCodePath:
             def translate(self, block):
                 return tb
 
-        service = TranslationService(
-            ServiceConfig(disk_code_dir=str(tmp_path)), setup=service_setup
-        )
+        service = TranslationService(ServiceConfig(), setup=service_setup)
         gen = service._generation
         ctx = service._build_context("program", ("mov r0, #7", "bx lr"))
         ctx._translators["condition"] = _Translator()
@@ -605,7 +627,6 @@ class TestDiskCodePath:
             execute(state, counts)
             outcomes.append((state.regs, counts))
         assert outcomes[0] == outcomes[1] == ({"g_r0": 3}, {"tcg": 10})
-        assert service.disk_code.entry_count() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ attacks it the way production does:
 
 * sustained oracle-verified load across 4 workers (every ``run`` snapshot
   diffed against the reference interpreter; zero divergences tolerated);
-* a cold-start stampede of identical requests, proving the cross-process
-  disk code cache admitted exactly one write (and one codegen) per block;
+* a cold-start stampede of identical requests across two workers, each of
+  which translates and compiles the blocks it serves, all answering alike;
 * SIGKILL of a worker mid-session: the parent respawns it, sibling
   workers' connections keep answering, and the exit accounting in
   ``pool.json`` records the crash;
@@ -247,7 +247,6 @@ class TestPoolUnderLoad:
             assert len(pool_section["parent"]["workers"]) == 4
             aggregate = pool_section["aggregate"]
             assert aggregate["requests_total"] >= payload["requests"]["ok"]
-            assert aggregate["disk_code"]["writes"] > 0
             assert aggregate["endpoints"]["run"]["count"] > 0
 
             # SIGTERM fan-out: every worker drains, parent exits 0
@@ -260,11 +259,11 @@ class TestPoolUnderLoad:
 
 
 # ---------------------------------------------------------------------------
-# cold-start stampede: exactly one disk write per block, cluster-wide
+# cold-start stampede: identical cold translates across workers agree
 
 
 class TestColdStartStampede:
-    def test_concurrent_identical_translates_write_once(
+    def test_concurrent_identical_translates_agree(
         self, tmp_path, shared_cache_dir
     ):
         import concurrent.futures
@@ -285,21 +284,11 @@ class TestColdStartStampede:
             blocks = responses[0]["result"]["blocks"]
             assert blocks > 0
             assert all(r["result"]["blocks"] == blocks for r in responses)
-
-            time.sleep(1.0)  # let both workers flush their counters
-            stats = _request(pool.port, {"id": "s", "op": "stats"})["result"]
-            disk = stats["pool"]["aggregate"]["disk_code"]
-            entries = len(
-                list((pool.pool_dir / "codecache").glob("*/*.json"))
+            assert all(
+                r["result"] == responses[0]["result"] for r in responses
             )
-            # one entry file per block, one write per entry, one codegen
-            # per entry — across both processes and all six requests
-            assert entries == blocks
-            assert disk["writes"] == blocks
-            assert disk["generations"] == blocks
-            assert disk["wait_timeouts"] == 0
-            # no lockfiles left behind
-            assert list((pool.pool_dir / "codecache").glob("*/*.lock")) == []
+            # workers keep compiled blocks in memory only
+            assert not (pool.pool_dir / "codecache").exists()
             assert pool.terminate() == 0
         finally:
             pool.kill()
