@@ -296,7 +296,6 @@ def _cmd_serve(args) -> int:
             port=args.port,
             stage=args.stage,
             training=args.training,
-            cache_blocks=args.cache_blocks,
             max_queue=args.max_queue,
             handlers=args.handlers,
             request_timeout=args.timeout,
@@ -555,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--training", default="quick", choices=("quick", "full"),
                        help="rule-training corpus loaded at startup "
                             "(quick = 2 benchmarks, full = whole suite)")
-    serve.add_argument("--cache-blocks", type=int, default=4096,
-                       help="shared code-cache capacity in blocks")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="request queue bound; beyond it clients get "
                             "retryable backpressure errors")

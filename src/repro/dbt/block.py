@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
 
+from repro.errors import ExecutionError
 from repro.isa.arm.opcodes import ARM
 from repro.lang.program import CompiledUnit
 
@@ -58,7 +59,7 @@ class BlockMap:
     def block_at(self, index: int) -> Block:
         end = self._ends.get(index)
         if end is None:
-            raise KeyError(f"no basic block starts at instruction index {index}")
+            raise ExecutionError(f"no basic block starts at guest PC {index * 4:#x}")
         return Block(index, end)
 
     def instructions(self, block: Block) -> Tuple:

@@ -5,10 +5,10 @@ and executed in one process and thrown away.  This package turns the
 pipeline into a long-lived serving system:
 
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire protocol;
-* :mod:`repro.service.codecache` — the single-flight shared code cache
-  (concurrent identical translate requests coalesce onto one compile);
 * :mod:`repro.service.stats` — latency histograms and per-endpoint stats;
-* :mod:`repro.service.server` — the asyncio TCP server (``repro serve``);
+* :mod:`repro.service.server` — the asyncio TCP server (``repro serve``),
+  which builds each (program, stage) once per ruleset generation: one
+  cached table of compiled blocks, which concurrent first requests share;
 * :mod:`repro.service.pool` — the pre-fork worker pool
   (``repro serve --workers N``): one listener, N processes, crash
   respawn, SIGTERM drain fan-out;
@@ -18,7 +18,6 @@ pipeline into a long-lived serving system:
   latency saturation curve.
 """
 
-from repro.service.codecache import SingleFlightCodeCache
 from repro.service.loadgen import (
     LoadgenOptions,
     check_loadgen_report,
@@ -42,7 +41,6 @@ from repro.service.stats import EndpointStats, LatencyHistogram
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "SingleFlightCodeCache",
     "LatencyHistogram",
     "EndpointStats",
     "ServiceConfig",

@@ -180,7 +180,7 @@ def _phase_key(op: str, unit: Any, stage: str, seen: set) -> str:
     The first request the client issues for a (unit, stage) pair hits a
     server that has not translated it yet — that request pays the
     translate phase on top of the run phase.  Later requests for the same
-    unit are served from the warm translator/code cache.  Classification
+    unit are served from the server's cached table.  Classification
     is client-side and at build time (a shared single-event-loop set), so
     it is an approximation under concurrent first requests — the server's
     single-flight translation makes all of those pay cold-start latency

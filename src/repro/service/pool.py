@@ -84,7 +84,7 @@ def publish_worker_stats(service, context: PoolContext) -> None:
         "requests_total": service.requests_total,
         "errors_by_code": dict(service.error_counts),
         "endpoints_raw": service.endpoints.raw_payload(),
-        "code_cache": service.code_cache.stats(),
+        "code_cache": service.cache_stats(),
         "ruleset_version": ruleset.version,
         "ruleset_digest": ruleset.digest,
         "ruleset_swaps": service.ruleset_swaps,

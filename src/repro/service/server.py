@@ -20,23 +20,25 @@ Structure::
 * **CPU isolation** — translation, compilation, and guest execution run in
   the default thread executor, so the event loop keeps accepting and
   answering while blocks compile.
-* **Sharing** — all requests share one single-flight code cache
-  (:mod:`repro.service.codecache`) and look rules up straight from the
-  frozen per-stage :class:`~repro.learning.ruleset.RuleSet`: a hot program
-  is translated and compiled once, ever, per (program, stage).  What a
-  run patches while it executes (block chain maps) stays with that run,
-  so every response is a function of its request alone.
-* **Hot reload** — the serving ruleset lives in an immutable
-  :class:`_Generation` (ruleset identity + per-stage configs + unit memo).
-  Every request reads ``self._generation`` exactly once and carries that
-  object through translate/compile/execute, so the ``reload`` admin op (or
-  the ``--watch-interval`` store watcher) can load a new generation in the
+* **Sharing** — each serving generation keeps one table per (program,
+  stage): the program's every block translated and compiled by one
+  executor call, built once however many requests ask for it at once, and
+  bounded at :data:`CACHE_BLOCKS` blocks over all tables (least recently
+  used tables go first).  Rules are looked up straight from the frozen
+  per-stage :class:`~repro.learning.ruleset.RuleSet`.  A warm request is
+  one dict lookup.  What a run patches while it executes (block chain
+  maps) stays with that run, so every response is a function of its
+  request alone.
+* **Hot reload** — the serving ruleset lives in a :class:`_Generation`
+  (ruleset identity + per-stage configs + its table cache).  Every request
+  reads ``self._generation`` exactly once and carries that object through
+  translate/compile/execute, so the ``reload`` admin op (or the
+  ``--watch-interval`` store watcher) can load a new generation in the
   background and swap the attribute atomically: in-flight requests finish
-  on the generation they started with (natural drain — the old generation
-  is garbage-collected when its last request completes), new requests see
-  the new version, and no request ever mixes rules from two versions.
-  Code-cache keys include the ruleset digest, so a swapped version can
-  never be served stale compiled blocks.
+  on the generation they started with, new requests see the new version,
+  and no request ever mixes rules from two versions.  Tables belong to the
+  generation that built them, so a swapped version is never served stale
+  compiled blocks, and its tables are freed when its last request drains.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.cache import BoundedMemo, stats_payload
+from repro.cache import stats_payload
+from repro.dbt.block import BlockMap
 from repro.dbt.compiler import CompiledBlock, compile_block
 
 # Unused here, but kept importable from this module: the per-layer tracer in
@@ -65,9 +69,9 @@ from repro.dbt.compiler import (  # noqa: F401
 from repro.dbt.engine import CodeCacheEntry, DBTEngine
 from repro.dbt.translator import BlockTranslator, TranslationConfig
 from repro.errors import ExecutionError, ReproError
+from repro.lang.program import CompiledUnit
 from repro.param.engine import STAGES, SystemSetup
 from repro.service import protocol
-from repro.service.codecache import SingleFlightCodeCache
 from repro.service.protocol import ProtocolError
 from repro.service.stats import EndpointStats
 
@@ -83,7 +87,6 @@ class ServiceConfig:
     #: "quick" trains on the two-benchmark difftest training set (seconds of
     #: warm-up); "full" uses the full-suite rule set (minutes, best rules).
     training: str = "quick"
-    cache_blocks: int = 4096
     #: queued (admitted, not yet running) requests before backpressure.
     max_queue: int = 64
     #: concurrent asyncio request handlers per process (``--handlers``; the
@@ -113,7 +116,7 @@ class ServiceConfig:
         """
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
-        for name in ("handlers", "max_queue", "cache_blocks"):
+        for name in ("handlers", "max_queue"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.request_timeout > 0:
@@ -179,47 +182,132 @@ def resolve_ruleset(config: ServiceConfig, setup: Optional[SystemSetup] = None):
     return serving_ruleset_from_setup(setup, training=config.training)
 
 
-class _Generation:
-    """One immutable serving generation: ruleset identity + unit memo.
+#: Compiled blocks a generation's tables may hold in total.  Publishing a
+#: table evicts least-recently-used finished tables until the total is
+#: within it; a lone table larger than the bound stays.  A compiled block
+#: costs about 8 KB, so a bound in programs rather than blocks would let a
+#: stage grow to hundreds of MB.
+CACHE_BLOCKS = 4096
 
-    All per-ruleset state lives here — the stage configs (through the
-    ruleset) and the unit-context memo (contexts cache per-stage
-    translators, which bind configs, so they must never outlive their
-    generation).  Requests capture one generation at dispatch and use only
-    it; the service swaps the current-generation attribute atomically.
+
+class _Table(NamedTuple):
+    """One (program, stage), translated and compiled: all a request reads."""
+
+    unit: CompiledUnit
+    digest: str
+    #: block start index -> entry, for every block of the program.
+    entries: Dict[int, CodeCacheEntry]
+    guest: int
+    host: int
+    covered: int
+
+
+def _build_table(config: TranslationConfig, kind: str, value) -> _Table:
+    """Executor side: resolve the program, then translate and compile it."""
+    if kind == "benchmark":
+        from repro.workloads import compiled_benchmark
+
+        unit = compiled_benchmark(value).guest
+        digest = f"bench:{value}"
+    else:
+        from repro.difftest.oracle import InvalidProgram, assemble_program
+
+        try:
+            unit = assemble_program(list(value))
+        except InvalidProgram as exc:
+            raise ProtocolError("bad-program", str(exc)) from exc
+        digest = "prog:" + hashlib.sha256(
+            "\n".join(value).encode("utf-8")
+        ).hexdigest()
+    blockmap = BlockMap(unit)
+    translator = BlockTranslator(unit, blockmap, config)
+    entries: Dict[int, CodeCacheEntry] = {}
+    guest = host = covered = 0
+    for block in blockmap.blocks:
+        tb = translator.translate(block)
+        entries[block.start] = CodeCacheEntry(tb=tb, compiled=compile_block(tb))
+        guest += tb.guest_count
+        host += len(tb.host)
+        covered += tb.covered_count
+    return _Table(unit, digest, entries, guest, host, covered)
+
+
+class _Generation:
+    """One serving generation: a frozen ruleset and the tables built from it.
+
+    Requests capture one generation at dispatch and use only it; the
+    service swaps the current-generation attribute atomically.  Tables bind
+    the generation's stage configs, so they live in its cache and go with
+    it.
+
+    ``tables`` maps ``(program key, stage)`` to the task that builds that
+    table, least recently used first, and is confined to the event loop.
+    ``blocks`` (held by finished tables) and the service-wide ``counts``
+    are plain ints, so any thread may read them.
     """
 
-    __slots__ = ("ruleset", "units")
+    __slots__ = ("ruleset", "counts", "tables", "blocks")
 
-    def __init__(self, ruleset) -> None:
+    def __init__(self, ruleset, counts: Dict[str, int]) -> None:
         self.ruleset = ruleset
-        self.units = BoundedMemo(maxsize=256, register=False)
+        self.counts = counts
+        self.tables: "OrderedDict[Tuple, asyncio.Task]" = OrderedDict()
+        self.blocks = 0
 
     def config_for(self, stage: str) -> TranslationConfig:
         return self.ruleset.config_for(stage)
 
+    async def table(self, key: Tuple, build: Callable[[], _Table]) -> _Table:
+        """The table for *key*, built at most once however many ask at once.
 
-class _UnitContext:
-    """Per-program serving context: unit + block map + per-stage translators."""
+        A warm request is one dict lookup and an await of a finished task.
+        Every caller, the first included, awaits the build through
+        :func:`asyncio.shield`, so a caller's timeout never cancels it.
+        """
+        counts = self.counts
+        task = self.tables.get(key)
+        if task is None:
+            counts["misses"] += 1
+            task = self.tables[key] = asyncio.ensure_future(self._build(key, build))
+        else:
+            self.tables.move_to_end(key)
+            if task.done():
+                counts["hits"] += 1
+            else:
+                counts["misses"] += 1
+                counts["coalesced"] += 1
+        return await asyncio.shield(task)
 
-    __slots__ = ("unit", "digest", "blockmap", "_translators", "_lock")
+    async def _build(self, key: Tuple, build: Callable[[], _Table]) -> _Table:
+        """Run *build* in the executor, then publish its table.
 
-    def __init__(self, unit, digest: str) -> None:
-        from repro.dbt.block import BlockMap
-
-        self.unit = unit
-        self.digest = digest
-        self.blockmap = BlockMap(unit)
-        self._translators: Dict[str, BlockTranslator] = {}
-        self._lock = threading.Lock()
-
-    def translator_for(self, stage: str, config: TranslationConfig) -> BlockTranslator:
-        with self._lock:
-            translator = self._translators.get(stage)
-            if translator is None:
-                translator = BlockTranslator(self.unit, self.blockmap, config)
-                self._translators[stage] = translator
-            return translator
+        A failed build leaves the cache, so the key retries; its exception
+        reaches every waiter.  Publishing evicts least-recently-used
+        finished tables until the blocks held are within
+        :data:`CACHE_BLOCKS`.  This table's task is still running, so it
+        is never evicted by its own publish.
+        """
+        counts = self.counts
+        counts["inflight"] += 1
+        try:
+            table = await asyncio.get_running_loop().run_in_executor(None, build)
+        except BaseException:
+            del self.tables[key]
+            raise
+        finally:
+            counts["inflight"] -= 1
+        size = len(table.entries)
+        counts["compiles"] += size
+        self.blocks += size
+        for old_key, old in list(self.tables.items()):
+            if self.blocks <= CACHE_BLOCKS:
+                break
+            if old.done():
+                del self.tables[old_key]
+                evicted = len(old.result().entries)
+                self.blocks -= evicted
+                counts["evictions"] += evicted
+        return table
 
 
 class TranslationService:
@@ -239,7 +327,13 @@ class TranslationService:
         self.config = config
         if ruleset is None:
             ruleset = resolve_ruleset(config, setup=setup)
-        self._generation = _Generation(ruleset)
+        #: table-cache counters, shared by every generation; ``hits``,
+        #: ``misses`` and ``coalesced`` count requests, ``compiles`` and
+        #: ``evictions`` blocks.
+        self._cache_counts = dict.fromkeys(
+            ("hits", "misses", "compiles", "coalesced", "evictions", "inflight"), 0
+        )
+        self._generation = _Generation(ruleset, self._cache_counts)
         self.ruleset_store = None
         if config.ruleset_store:
             from repro.pipeline.store import RulesetStore
@@ -248,7 +342,6 @@ class TranslationService:
         self._reload_lock = threading.Lock()
         self.ruleset_swaps = 0
         self._swap_history: list = [ruleset.version]
-        self.code_cache = SingleFlightCodeCache(config.cache_blocks)
         self.endpoints = EndpointStats()
         #: set by :mod:`repro.service.pool` on workers; solo servers keep None.
         self.pool_context: Optional[PoolContext] = None
@@ -317,7 +410,8 @@ class TranslationService:
             ruleset = serving_ruleset_from_body(
                 loaded["body"], version=target, digest=loaded["body_sha256"]
             )
-            self._generation = _Generation(ruleset)  # atomic swap; old gen drains out
+            # Atomic swap; the old generation and its tables drain out.
+            self._generation = _Generation(ruleset, self._cache_counts)
             self.ruleset_swaps += 1
             self._swap_history.append(target)
             return {
@@ -336,26 +430,9 @@ class TranslationService:
             )
         return stage
 
-    def _build_context(self, kind: str, value) -> _UnitContext:
-        """Executor-side unit resolution (assembly / benchmark compile)."""
-        if kind == "benchmark":
-            from repro.workloads import compiled_benchmark
-
-            unit = compiled_benchmark(value).guest
-            digest = f"bench:{value}"
-        else:
-            from repro.difftest.oracle import InvalidProgram, assemble_program
-
-            try:
-                unit = assemble_program(list(value))
-            except InvalidProgram as exc:
-                raise ProtocolError("bad-program", str(exc)) from exc
-            digest = "prog:" + hashlib.sha256(
-                "\n".join(value).encode("utf-8")
-            ).hexdigest()
-        return _UnitContext(unit, digest)
-
-    async def _context(self, gen: _Generation, obj: Dict[str, Any]) -> _UnitContext:
+    async def _table(self, gen: _Generation, obj: Dict[str, Any]) -> Tuple[str, _Table]:
+        """The request's stage and its program's table from *gen*'s cache."""
+        stage = self._stage_of(obj)
         benchmark = obj.get("benchmark")
         program = obj.get("program")
         if (benchmark is None) == (program is None):
@@ -380,52 +457,11 @@ class TranslationService:
                 )
             key = ("program", "\n".join(program))
             kind, value = "program", tuple(program)
-        cached = gen.units.get(key, None)
-        if cached is not None:
-            return cached
-        # Concurrent first requests may build the same context twice; the
-        # memo is last-wins and contexts are interchangeable, so that is
-        # only duplicated work — block compilation stays single-flight.
-        loop = asyncio.get_running_loop()
-        ctx = await loop.run_in_executor(None, self._build_context, kind, value)
-        gen.units.put(key, ctx)
-        return ctx
+        build = partial(_build_table, gen.config_for(stage), kind, value)
+        return stage, await gen.table((key, stage), build)
 
-    # -- block compilation ----------------------------------------------------
-
-    def _compile_entry(
-        self, gen: _Generation, ctx: _UnitContext, stage: str, start: int
-    ) -> CodeCacheEntry:
-        config = gen.config_for(stage)
-        translator = ctx.translator_for(stage, config)
-        tb = translator.translate(ctx.blockmap.block_at(start))
-        return CodeCacheEntry(tb=tb, compiled=compile_block(tb))
-
-    async def _ensure_blocks(
-        self, gen: _Generation, ctx: _UnitContext, stage: str
-    ) -> Dict[int, CodeCacheEntry]:
-        """All of the program's blocks translated+compiled (single-flight).
-
-        The in-memory key carries the ruleset digest too: after a swap the
-        new generation's blocks are distinct entries, and the old entries
-        age out of the LRU instead of ever answering a new-version request.
-        """
-        entries: Dict[int, CodeCacheEntry] = {}
-        for block in ctx.blockmap.blocks:
-            key = (gen.ruleset.digest, ctx.digest, stage, block.start)
-            entries[block.start] = await self.code_cache.get_or_compile(
-                key, partial(self._compile_entry, gen, ctx, stage, block.start)
-            )
-        return entries
-
-    def _execute(
-        self,
-        gen: _Generation,
-        ctx: _UnitContext,
-        stage: str,
-        entries: Dict[int, CodeCacheEntry],
-    ):
-        """Executor-side guest run over pre-seeded shared code-cache entries.
+    def _execute(self, table: _Table, config: TranslationConfig):
+        """Executor-side guest run over the table's shared code-cache entries.
 
         The run chains through per-request shells of the shared compiled
         blocks (same code and counts, empty chain maps), so its chained
@@ -440,11 +476,11 @@ class TranslationService:
                     entry.tb, entry.compiled.execute, entry.compiled.host_counts
                 ),
             )
-            for index, entry in entries.items()
+            for index, entry in table.entries.items()
         }
         engine = DBTEngine(
-            ctx.unit,
-            gen.config_for(stage),
+            table.unit,
+            config,
             chaining=True,
             backend="jit",
             code_cache=shells,
@@ -461,14 +497,23 @@ class TranslationService:
 
     async def _run(self, obj: Dict[str, Any]):
         gen = self._generation  # one read: the whole request stays on it
-        stage = self._stage_of(obj)
-        ctx = await self._context(gen, obj)
-        entries = await self._ensure_blocks(gen, ctx, stage)
+        stage, table = await self._table(gen, obj)
         loop = asyncio.get_running_loop()
         result = await loop.run_in_executor(
-            None, self._execute, gen, ctx, stage, entries
+            None, self._execute, table, gen.config_for(stage)
         )
-        return ctx, stage, result
+        return table, stage, result
+
+    def cache_stats(self) -> Dict[str, Any]:
+        """The ``stats`` op's ``code_cache`` section; any thread may call it."""
+        counts = dict(self._cache_counts)
+        lookups = counts["hits"] + counts["misses"]
+        return {
+            "size": self._generation.blocks,
+            "maxsize": CACHE_BLOCKS,
+            "hit_rate": round(counts["hits"] / lookups, 4) if lookups else 0.0,
+            **counts,
+        }
 
     # -- operations -----------------------------------------------------------
 
@@ -480,28 +525,22 @@ class TranslationService:
         }
 
     async def _op_translate(self, obj: Dict[str, Any]) -> Dict[str, Any]:
-        gen = self._generation
-        stage = self._stage_of(obj)
-        ctx = await self._context(gen, obj)
-        entries = await self._ensure_blocks(gen, ctx, stage)
-        guest = sum(entry.tb.guest_count for entry in entries.values())
-        covered = sum(entry.tb.covered_count for entry in entries.values())
+        stage, table = await self._table(self._generation, obj)
+        guest = table.guest
         return {
-            "unit": ctx.digest,
+            "unit": table.digest,
             "stage": stage,
-            "blocks": len(entries),
+            "blocks": len(table.entries),
             "guest_instructions": guest,
-            "host_instructions": sum(
-                len(entry.tb.host) for entry in entries.values()
-            ),
-            "static_coverage": round(covered / guest, 4) if guest else 0.0,
+            "host_instructions": table.host,
+            "static_coverage": round(table.covered / guest, 4) if guest else 0.0,
         }
 
     async def _op_run(self, obj: Dict[str, Any]) -> Dict[str, Any]:
-        ctx, stage, result = await self._run(obj)
+        table, stage, result = await self._run(obj)
         metrics = result.metrics
         return {
-            "unit": ctx.digest,
+            "unit": table.digest,
             "stage": stage,
             "snapshot": result.architectural_snapshot(),
             "metrics": {
@@ -517,10 +556,10 @@ class TranslationService:
         }
 
     async def _op_coverage(self, obj: Dict[str, Any]) -> Dict[str, Any]:
-        ctx, stage, result = await self._run(obj)
+        table, stage, result = await self._run(obj)
         metrics = result.metrics
         return {
-            "unit": ctx.digest,
+            "unit": table.digest,
             "stage": stage,
             "coverage": round(metrics.coverage, 6),
             "total_ratio": round(metrics.total_ratio, 4),
@@ -554,8 +593,7 @@ class TranslationService:
             },
             "requests": {"total": total, "errors_by_code": errors},
             "endpoints": self.endpoints.summary(),
-            "code_cache": self.code_cache.stats(),
-            "units_cached": len(gen.units),
+            "code_cache": self.cache_stats(),
             "caches": stats_payload(include_disk=False),
         }
         if self.server_stats is not None:

@@ -149,6 +149,20 @@ class TestEngineBehaviour:
         assert result.architectural_snapshot() == expected.architectural_snapshot()
         assert result.metrics.host_counts == expected.metrics.host_counts
 
+    @pytest.mark.parametrize("backend", ["interp", "jit"])
+    def test_jump_to_no_block_is_an_execution_error(self, backend):
+        """Falling off the program's end reaches an index where no block
+        starts: an ExecutionError naming the guest PC, not a bare KeyError
+        (the reference interpreter halts there instead, DESIGN §7.11)."""
+        from repro.dbt import unit_from_assembly
+        from repro.dbt.translator import TranslationConfig
+        from repro.errors import ExecutionError
+
+        unit = unit_from_assembly("fn_main:\n  mov r0, #1\n")
+        engine = DBTEngine(unit, TranslationConfig("qemu"), backend=backend)
+        with pytest.raises(ExecutionError, match="guest PC 0x4"):
+            engine.run()
+
 
 def _loop_unit(iterations: int):
     from repro.dbt import unit_from_assembly

@@ -1,7 +1,7 @@
 """Tests for the translation-as-a-service subsystem (``repro.service``).
 
-Covers service configuration validation, the single-flight code cache
-(coalescing, failure retry, eviction accounting), latency histograms, the
+Covers service configuration validation, the per-generation table cache
+(coalescing, failure retry, block-bounded eviction), latency histograms, the
 asyncio server's protocol/robustness guarantees (malformed-request
 isolation, backpressure, timeouts, graceful drain), the run endpoint's
 oracle parity, and a short in-process loadgen run.
@@ -12,12 +12,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from functools import partial
 
 import pytest
 
-from repro.service import protocol
-from repro.service.codecache import SingleFlightCodeCache
-from repro.service.server import ServiceConfig, TranslationService, start_server
+from repro.service import protocol, server as server_module
+from repro.service.server import ServiceConfig, TranslationService, _Table, start_server
 from repro.service.stats import EndpointStats, LatencyHistogram
 
 
@@ -40,7 +40,6 @@ def service_setup():
         ("max_queue", 0),
         ("request_timeout", 0.0),
         ("request_timeout", -1.0),
-        ("cache_blocks", 0),
         ("stage", "nope"),
         ("watch_interval", -1.0),
         ("watch_interval", 1.0),  # no ruleset_store to poll
@@ -53,89 +52,123 @@ def test_service_config_rejects_bad_values(field, value):
 
 
 # ---------------------------------------------------------------------------
-# single-flight code cache
+# single-flight code cache: one table per (program, stage) and generation
+
+
+def _fake_table(blocks: int = 1) -> _Table:
+    return _Table(None, "d", dict.fromkeys(range(blocks)), 0, 0, 0)
+
+
+@pytest.fixture
+def cache_service(service_setup):
+    """A service whose generation cache the tests drive with fake builds."""
+    return TranslationService(ServiceConfig(), setup=service_setup)
+
+
+def _held_entries(service):
+    """Every code-cache entry the current generation's tables hold."""
+    return [
+        entry
+        for task in service._generation.tables.values()
+        for entry in task.result().entries.values()
+    ]
 
 
 class TestSingleFlightCodeCache:
-    def test_concurrent_requests_compile_once(self):
-        cache = SingleFlightCodeCache()
+    def test_concurrent_requests_compile_once(self, cache_service):
+        gen = cache_service._generation
         calls = []
 
-        def compile_fn():
+        def build():
             calls.append(1)
             time.sleep(0.05)  # hold the flight open so others coalesce
-            return "entry"
+            return _fake_table(3)
 
         async def body():
-            return await asyncio.gather(
-                *(cache.get_or_compile(("k",), compile_fn) for _ in range(5))
-            )
+            return await asyncio.gather(*(gen.table("k", build) for _ in range(5)))
 
         results = asyncio.run(body())
-        assert results == ["entry"] * 5
         assert len(calls) == 1
-        assert cache.compiles == 1
-        assert cache.coalesced == 4
+        assert all(table is results[0] for table in results)
+        stats = cache_service.cache_stats()
+        assert stats["compiles"] == 3 and stats["size"] == 3
+        assert stats["misses"] == 5 and stats["coalesced"] == 4
+        assert stats["hits"] == 0 and stats["inflight"] == 0
 
-    def test_failed_compile_propagates_and_key_retries(self):
-        cache = SingleFlightCodeCache()
+    def test_failed_compile_propagates_and_key_retries(self, cache_service):
+        gen = cache_service._generation
         attempts = []
 
-        def compile_fn():
+        def build():
             attempts.append(1)
+            time.sleep(0.05)
             if len(attempts) == 1:
                 raise RuntimeError("boom")
-            return "ok"
+            return _fake_table()
 
         async def body():
-            with pytest.raises(RuntimeError, match="boom"):
-                await cache.get_or_compile(("k",), compile_fn)
-            return await cache.get_or_compile(("k",), compile_fn)
-
-        assert asyncio.run(body()) == "ok"
-        assert len(attempts) == 2
-
-    def test_owner_timeout_does_not_cancel_the_shared_compile(self):
-        """The caller that started a compile times out; a coalesced waiter
-        still gets the entry, and the entry is published."""
-        cache = SingleFlightCodeCache()
-
-        def compile_fn():
-            time.sleep(0.3)
-            return "entry"
-
-        async def body():
-            owner = asyncio.ensure_future(
-                asyncio.wait_for(cache.get_or_compile(("k",), compile_fn), 0.1)
+            failed = await asyncio.gather(
+                gen.table("k", build), gen.table("k", build), return_exceptions=True
             )
+            assert [str(exc) for exc in failed] == ["boom", "boom"]  # every waiter
+            assert "k" not in gen.tables
+            return await gen.table("k", build)
+
+        assert asyncio.run(body()).entries == {0: None}
+        assert len(attempts) == 2
+        assert cache_service.cache_stats()["compiles"] == 1
+
+    def test_owner_timeout_does_not_cancel_the_shared_compile(self, cache_service):
+        """The caller that started a build times out; a coalesced waiter
+        still gets the table, and the table is published."""
+        gen = cache_service._generation
+        table = _fake_table()
+
+        def build():
+            time.sleep(0.3)
+            return table
+
+        async def body():
+            owner = asyncio.ensure_future(asyncio.wait_for(gen.table("k", build), 0.1))
             await asyncio.sleep(0.02)  # the owner has started the flight
-            waiter = asyncio.ensure_future(cache.get_or_compile(("k",), compile_fn))
+            waiter = asyncio.ensure_future(gen.table("k", build))
             with pytest.raises(asyncio.TimeoutError):
                 await owner
-            return await waiter
+            assert await waiter is table
+            return await gen.table("k", build)
 
-        assert asyncio.run(body()) == "entry"
-        assert cache.compiles == 1 and cache.coalesced == 1
-        assert cache.get(("k",)) == "entry"
+        assert asyncio.run(body()) is table
+        stats = cache_service.cache_stats()
+        assert stats["compiles"] == 1 and stats["coalesced"] == 1
+        assert stats["hits"] == 1
 
-    def test_lru_eviction_accounting(self):
-        cache = SingleFlightCodeCache(maxsize=2)
-        cache.publish("a", 1)
-        cache.publish("b", 2)
-        assert cache.get("a") == 1  # touch: "b" is now LRU
-        cache.publish("c", 3)
-        assert cache.evictions == 1
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        stats = cache.stats()
-        assert stats["size"] == 2 and stats["evictions"] == 1
+    def test_lru_eviction_accounting(self, cache_service, monkeypatch):
+        """Tables go least recently used first until the blocks held are
+        within the bound; a lone table larger than the bound stays."""
+        monkeypatch.setattr(server_module, "CACHE_BLOCKS", 2)
+        gen = cache_service._generation
 
-    def test_hit_rate(self):
-        cache = SingleFlightCodeCache()
-        cache.publish("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.get("nope") is None
-        assert cache.stats()["hit_rate"] == 0.5
+        async def body():
+            for key in ("a", "b", "a", "c"):  # touching "a" leaves "b" LRU
+                await gen.table(key, _fake_table)
+            assert list(gen.tables) == ["a", "c"]
+            await gen.table("big", partial(_fake_table, 5))
+            assert list(gen.tables) == ["big"]
+
+        asyncio.run(body())
+        stats = cache_service.cache_stats()
+        assert stats["size"] == 5 and stats["maxsize"] == 2
+        assert stats["compiles"] == 8 and stats["evictions"] == 3
+
+    def test_hit_rate(self, cache_service):
+        gen = cache_service._generation
+
+        async def body():
+            await gen.table("k", _fake_table)
+            await gen.table("k", _fake_table)
+
+        asyncio.run(body())
+        assert cache_service.cache_stats()["hit_rate"] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +321,7 @@ class TestServiceServer:
                     await writer.drain()
                     lines.append(await reader.readline())
                 writer.close()
-                shared = list(server.service.code_cache._data.values())
+                shared = _held_entries(server.service)
                 return lines, shared, server.service.config_for("condition")
             finally:
                 await server.aclose()
@@ -328,7 +361,7 @@ class TestServiceServer:
                     return raw
 
                 lines = await asyncio.gather(one(), one())
-                return lines, server.service.code_cache.stats()
+                return lines, server.service.cache_stats()
             finally:
                 await server.aclose()
 
@@ -384,6 +417,12 @@ class TestServiceServer:
                 )
                 assert response["error"]["code"] == "bad-program"
                 assert "writes the PC" in response["error"]["message"]
+                # a program that falls off its end, where no block starts
+                response = await _rpc(
+                    reader, writer, {"id": 12, "op": "run", "program": ["mov r0, #1"]}
+                )
+                assert response["error"]["code"] == "bad-program"
+                assert "guest PC 0x4" in response["error"]["message"]
                 # ... and the connection still serves fine afterwards
                 response = await _rpc(reader, writer, {"id": 10, "op": "ping"})
                 assert response["ok"]
@@ -469,15 +508,15 @@ class TestServiceServer:
         """Request A times out while compiling; request B, coalesced onto
         the same compile, still gets a response and no handler dies."""
         program = ["mov r0, #7", "add r0, r0, #5", "bx lr"]
-        original = TranslationService._compile_entry
+        original = server_module._build_table
         slow = [True]
 
-        def slow_compile(self, *args):
+        def slow_build(*args):
             if slow[0]:
                 time.sleep(0.6)
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(TranslationService, "_compile_entry", slow_compile)
+        monkeypatch.setattr(server_module, "_build_table", slow_build)
 
         async def body():
             server = await start_server(
@@ -553,6 +592,60 @@ class TestServiceServer:
         assert response["result"]["snapshot"]["regs"]["r0"] == 12
 
 
+class TestServedTables:
+    PROGRAMS = (
+        ["mov r0, #7", "add r0, r0, #5", "bx lr"],
+        ["mov r0, #1", "cmp r0, #2", "beq done", "add r0, r0, #3", "done:", "bx lr"],
+        ["mov r1, #4", "bl f", "bx lr", "f:", "add r0, r1, r1", "bx lr"],
+    )
+
+    def test_warm_run_is_one_hit_and_no_compile(self, service_setup):
+        service = TranslationService(ServiceConfig(), setup=service_setup)
+        request = {"id": 1, "op": "run", "program": self.PROGRAMS[0]}
+
+        async def body():
+            cold = await service.handle_request(request)
+            before = service.cache_stats()
+            warm = await service.handle_request(request)
+            return cold, before, warm, service.cache_stats()
+
+        cold, before, warm, after = asyncio.run(body())
+        assert cold["ok"] and warm == cold
+        assert after["hits"] == before["hits"] + 1
+        assert after["compiles"] == before["compiles"] > 0
+        assert after["misses"] == before["misses"]
+
+    def test_small_bound_holds_and_evicted_program_answers_alike(
+        self, service_setup, monkeypatch
+    ):
+        """With the block bound at 3, the blocks held never exceed it except
+        for a lone larger table, and a program evicted and recompiled
+        answers byte for byte what it answered first."""
+        monkeypatch.setattr(server_module, "CACHE_BLOCKS", 3)
+        service = TranslationService(ServiceConfig(), setup=service_setup)
+        requests = [
+            {"id": n, "op": op, "program": program}
+            for n, program in enumerate(self.PROGRAMS)
+            for op in ("run", "translate")
+        ]
+
+        async def body():
+            answers = []
+            for request in requests * 2:
+                answers.append(protocol.encode(await service.handle_request(request)))
+                stats = service.cache_stats()
+                tables = list(service._generation.tables.values())
+                assert stats["size"] <= 3 or len(tables) == 1
+                assert stats["size"] == sum(len(t.result().entries) for t in tables)
+            return answers
+
+        answers = asyncio.run(body())
+        assert answers[: len(requests)] == answers[len(requests) :]
+        stats = service.cache_stats()
+        assert stats["evictions"] > 0
+        assert stats["compiles"] == stats["size"] + stats["evictions"]
+
+
 class TestCompileEntry:
     def test_served_run_builds_no_block_kernel(self, service_setup):
         """Cached entries carry the compiled body only: neither compiling a
@@ -570,7 +663,7 @@ class TestCompileEntry:
                     reader, writer, {"id": 1, "op": "run", "program": program}
                 )
                 writer.close()
-                return response, list(server.service.code_cache._data.values())
+                return response, _held_entries(server.service)
             finally:
                 await server.aclose()
 
@@ -580,7 +673,9 @@ class TestCompileEntry:
         assert entries
         assert all(entry._kernel is None for entry in entries)
 
-    def test_path_dependent_block_gets_the_guarded_form(self, service_setup):
+    def test_path_dependent_block_gets_the_guarded_form(
+        self, service_setup, monkeypatch
+    ):
         """A block with no inline form (backward edge) gets the guarded
         form, which counts per instruction exactly as the interpreter does."""
         from repro.dbt.executor import HostExecutor
@@ -606,14 +701,18 @@ class TestCompileEntry:
         )
 
         class _Translator:
+            def __init__(self, unit, blockmap, config):
+                pass
+
             def translate(self, block):
                 return tb
 
+        monkeypatch.setattr(server_module, "BlockTranslator", _Translator)
         service = TranslationService(ServiceConfig(), setup=service_setup)
-        gen = service._generation
-        ctx = service._build_context("program", ("mov r0, #7", "bx lr"))
-        ctx._translators["condition"] = _Translator()
-        entry = service._compile_entry(gen, ctx, "condition", ctx.blockmap.blocks[0].start)
+        table = server_module._build_table(
+            service.config_for("condition"), "program", ("mov r0, #7", "bx lr")
+        )
+        (entry,) = table.entries.values()
         assert entry.compiled.host_counts == ()
         outcomes = []
         for execute in (

@@ -12,8 +12,10 @@ worker's watcher must converge on the new version independently.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
@@ -270,8 +272,9 @@ class TestWatcher:
 
 class TestGenerationIsolation:
     def test_code_cache_keys_are_versioned(self, seeded_store, bodies):
-        """Blocks compiled under v1 are distinct cache entries from v2's —
-        a swapped version can never be served stale compiled code."""
+        """Blocks compiled under v1 are distinct cache entries from v2's:
+        each generation keeps its own tables, so a swapped version can never
+        be served stale compiled code."""
         store, v1 = seeded_store
         service = TranslationService(
             ServiceConfig(port=0, ruleset_store=str(store.root))
@@ -284,15 +287,42 @@ class TestGenerationIsolation:
 
         first = asyncio.run(run_once())
         assert first["ok"]
-        compiles_v1 = service.code_cache.stats()["compiles"]
+        compiles_v1 = service.cache_stats()["compiles"]
         assert compiles_v1 > 0
 
         v2 = store.publish(bodies[1]).version
         assert service.reload_ruleset()["version"] == v2
         second = asyncio.run(run_once())
         assert second["ok"]
-        # every block recompiled under the new digest, nothing reused
-        assert service.code_cache.stats()["compiles"] == 2 * compiles_v1
+        # every block recompiled under the new generation, nothing reused
+        assert service.cache_stats()["compiles"] == 2 * compiles_v1
+
+    def test_old_generation_blocks_free_when_last_request_drains(
+        self, seeded_store, bodies
+    ):
+        """After a swap, the old generation's compiled blocks live only as
+        long as a request still holds that generation."""
+        store, v1 = seeded_store
+        service = TranslationService(
+            ServiceConfig(port=0, ruleset_store=str(store.root))
+        )
+        response = asyncio.run(
+            service.handle_request({"id": 1, "op": "run", "benchmark": "mcf"})
+        )
+        assert response["ok"]
+        held = service._generation  # as a request still running on v1 would
+        (task,) = held.tables.values()
+        block = weakref.ref(next(iter(task.result().entries.values())).compiled)
+        del task
+        store.publish(bodies[1])
+        assert service.reload_ruleset()["swapped"]
+        assert block() is not None
+        gc.disable()  # freed by reference counting, not a later collection
+        try:
+            del held
+            assert block() is None
+        finally:
+            gc.enable()
 
 
 class TestPoolReload:
