@@ -1,11 +1,9 @@
-"""Wall-clock benchmarks for the caching/parallelism layer.
+"""Wall-clock benchmarks for the parallelism layer.
 
-Three comparisons, each printed with ``-s``:
+Two comparisons, each printed with ``-s``:
 
 * cold serial vs cold parallel fig16 sweep (the leave-one-out style fan-out
   is where ``--jobs`` pays off);
-* cold vs disk-warm full-suite derivation (a warm process performs zero
-  symbolic derivations);
 * serial vs parallel results are asserted identical, not just fast.
 
 Run:  pytest benchmarks/test_bench_parallel.py --benchmark-only -s
@@ -14,30 +12,22 @@ Run:  pytest benchmarks/test_bench_parallel.py --benchmark-only -s
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
-from repro import cache as cache_mod
-from repro.cache import STATS, clear_all_caches
+from repro.cache import clear_all_caches
 
 
 @pytest.fixture(autouse=True, scope="module")
-def _restore_disk_cache():
-    previous_root = cache_mod.disk_cache().root
+def _clear_caches_after():
     yield
-    cache_mod.reset_disk_cache(previous_root)
     clear_all_caches()
+
 
 #: Small-but-real fig16 sweep: 12 draws, up to 2 held-out runs each.
 SWEEP = dict(sizes=(2, 3, 4), repetitions=4, eval_limit=2, seed=2020)
 
 _ROWS = {}
-
-
-def _fresh(tmp_path, name):
-    cache_mod.reset_disk_cache(tmp_path / name)
-    clear_all_caches()
 
 
 def _sweep_rows():
@@ -46,22 +36,22 @@ def _sweep_rows():
     return fig16_training_size.run(**SWEEP).rows
 
 
-def test_bench_fig16_serial(benchmark, tmp_path):
+def test_bench_fig16_serial(benchmark):
     from repro.parallel import set_jobs
 
     def run():
-        _fresh(tmp_path, "serial")
+        clear_all_caches()
         set_jobs(1)
         return _sweep_rows()
 
     _ROWS["serial"] = benchmark.pedantic(run, rounds=1, iterations=1)
 
 
-def test_bench_fig16_parallel(benchmark, tmp_path):
+def test_bench_fig16_parallel(benchmark):
     from repro.parallel import set_jobs
 
     def run():
-        _fresh(tmp_path, "parallel")
+        clear_all_caches()
         set_jobs(min(4, os.cpu_count() or 1))
         return _sweep_rows()
 
@@ -78,29 +68,3 @@ def test_parallel_rows_identical():
     if "serial" in _ROWS and "parallel" in _ROWS:
         assert _ROWS["serial"] == _ROWS["parallel"]
 
-
-def test_bench_derivation_warm_cache(benchmark, tmp_path):
-    """Disk-warm derivation skips every symbolic derivation."""
-    from repro.experiments.common import rules_full_suite
-    from repro.param.derive import derive_rules
-
-    _fresh(tmp_path, "warm")
-    learned = rules_full_suite()
-
-    cold_started = time.perf_counter()
-    cold = derive_rules(learned)
-    cold_elapsed = time.perf_counter() - cold_started
-
-    def warm_run():
-        clear_all_caches()  # memory gone; disk stays — like a new process
-        return derive_rules(learned)
-
-    before = STATS.snapshot()
-    warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
-    delta = STATS.delta(before)
-
-    assert delta.derivations == 0
-    assert delta.disk_hits > 0
-    assert [str(r) for r in warm.derived] == [str(r) for r in cold.derived]
-    print(f"\ncold derivation: {cold_elapsed:.2f}s; "
-          f"warm: {delta.disk_hits} disk hits, 0 derivations")

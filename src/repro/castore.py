@@ -1,11 +1,10 @@
 """One content-addressed store: digest -> verified JSON payload.
 
 Every rebuildable on-disk artifact in the repo goes through :class:`CAStore`:
-the derivation cache (:class:`repro.cache.DiskCache`) and the pipeline's
-stage artifacts (:class:`repro.pipeline.artifacts.ArtifactStore`).
-Those are thin adapters that own only their key parts, their decode step and
-their public method names; the entry format, the publish discipline and the
-fault model below live here and nowhere else.
+the pipeline's stage artifacts (:class:`repro.pipeline.artifacts.ArtifactStore`),
+a thin adapter that owns only its key parts, its decode step and its public
+method names; the entry format, the publish discipline and the fault model
+below live here and nowhere else.
 
 **Entry format.**  One JSON file per entry at ``<root>/<digest[:2]>/<digest>.json``::
 
@@ -240,15 +239,6 @@ class CAStore:
 
     def entry_count(self) -> int:
         return sum(1 for _ in self._entries())
-
-    def total_bytes(self) -> int:
-        total = 0
-        for path in self._entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""

@@ -8,8 +8,7 @@ Usage::
     repro suite                     # workload suite summary
     repro rules [--benchmark NAME] [--out FILE]   # learn + dump rules
     repro translate NAME [--stage condition] [--backend jit]  # one DBT run
-    repro cache stats [--json]      # on-disk pipeline cache overview
-    repro cache clear               # drop disk + in-memory caches
+    repro cache stats [--json]      # in-process memo and counter overview
     repro serve [--port 9477]       # translation-as-a-service TCP server
     repro loadgen [--duration 10]   # drive a server; oracle-verified report
     repro pipeline run              # corpus→learn→derive→verify→publish
@@ -79,34 +78,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.cache import (
-        STATS,
-        clear_all_caches,
-        disk_cache,
-        gc_stats,
-        memo_registry,
-        stats_payload,
-    )
+    from repro.cache import STATS, gc_stats, memo_registry, stats_payload
     from repro.symir.expr import intern_table_size
     from repro.verify.equivalence import sampler_stats
     from repro.verify.shapeclass import cross_check_stats
 
-    cache = disk_cache()
-    if args.action == "clear":
-        removed = cache.clear()
-        clear_all_caches()
-        print(f"cleared {removed} disk entries under {cache.root} "
-              "(and all in-memory caches)")
-        return 0
-    if getattr(args, "json", False):
+    if args.json:
         import json
 
         print(json.dumps(stats_payload(), indent=2, sort_keys=True))
         return 0
-    print(f"cache directory : {cache.root}")
-    print(f"enabled         : {cache.enabled}")
-    print(f"disk entries    : {cache.entry_count()}")
-    print(f"disk bytes      : {cache.total_bytes()}")
     print(f"this process    : {STATS.summary()}")
     print(f"interned exprs  : {intern_table_size()}")
     print("in-memory memos (this process):")
@@ -535,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     difftest.set_defaults(fn=_cmd_difftest)
 
     cache = sub.add_parser(
-        "cache", help="inspect or clear the on-disk pipeline cache"
+        "cache", help="inspect this process's in-memory caches and counters"
     )
-    cache.add_argument("action", choices=("stats", "clear"))
+    cache.add_argument("action", choices=("stats",))
     cache.add_argument("--json", action="store_true",
                        help="machine-readable stats (same serializer as the "
                             "service stats endpoint)")

@@ -96,7 +96,7 @@ class OracleOutcome:
 
 
 def training_rules() -> RuleSet:
-    """Learned rules from :data:`TRAINING_BENCHMARKS` (memory+disk cached)."""
+    """Learned rules from :data:`TRAINING_BENCHMARKS` (memoized in-process)."""
     from repro.experiments.common import rules_from
 
     return rules_from(list(TRAINING_BENCHMARKS))

@@ -2,12 +2,10 @@
 
 The paper's protocol (§V-A): rules learned from 11 benchmarks are applied
 to the 12th, repeated for each benchmark.  Everything expensive — per-
-benchmark learning, rule derivation, DBT runs — is cached in-process *and*
-(for learning and derivation) content-addressed on disk via
-:mod:`repro.cache`, so a warm rerun in a fresh process skips straight to
-the DBT runs.  The leave-one-out sweep fans out across worker processes
-when ``--jobs`` asks for it, and every DBT run is checked against the
-reference interpreter before its metrics are trusted.
+benchmark learning, rule derivation, DBT runs — is cached in-process, so
+each is paid once per process.  The leave-one-out sweep fans out across
+worker processes when ``--jobs`` asks for it, and every DBT run is checked
+against the reference interpreter before its metrics are trusted.
 
 All in-memory caches here are registered with
 :func:`repro.cache.clear_all_caches`.
@@ -16,11 +14,10 @@ All in-memory caches here are registered with
 from __future__ import annotations
 
 import math
-import time
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from repro.cache import MISS, disk_cache, register_cache
+from repro.cache import register_cache
 from repro.dbt import DBTEngine, RunMetrics, check_against_reference
 from repro.errors import ExecutionError
 from repro.learning import (
@@ -39,14 +36,14 @@ from repro.workloads import BENCHMARK_NAMES, compiled_benchmark
 _SHARED_VERIFIER = Verifier()
 register_cache(_SHARED_VERIFIER._cache.clear)
 
-#: name -> learning output; populated from the disk cache when possible.
+#: name -> learning output.
 _LEARNING_CACHE: Dict[str, PairLearning] = {}
 register_cache(_LEARNING_CACHE.clear)
 
 
 @lru_cache(maxsize=None)
 def _pair_fingerprint(name: str) -> str:
-    """Digest of a compiled pair's code (learning-cache key component)."""
+    """Digest of a compiled pair's code (the pipeline's corpus fingerprint)."""
     import hashlib
 
     pair = compiled_benchmark(name)
@@ -57,35 +54,12 @@ def _pair_fingerprint(name: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _cached_learning(name: str) -> "PairLearning | None":
-    """Learning output from the memory or disk cache, or ``None``."""
-    cached = _LEARNING_CACHE.get(name)
-    if cached is not None:
-        return cached
-    learning = disk_cache().get(
-        "benchmark-learning", name, _pair_fingerprint(name), decode=learning_from_dict
-    )
-    if learning is MISS:
-        return None
-    _LEARNING_CACHE[name] = learning
-    return learning
-
-
 def benchmark_learning(name: str) -> PairLearning:
-    """Learn rules from one benchmark (memory + disk cached)."""
-    cached = _cached_learning(name)
-    if cached is not None:
-        return cached
-    started = time.perf_counter()
-    learning = learn_pair(compiled_benchmark(name), _SHARED_VERIFIER)
-    disk_cache().put(
-        "benchmark-learning",
-        name,
-        _pair_fingerprint(name),
-        payload=learning_to_dict(learning),
-        elapsed=time.perf_counter() - started,
-    )
-    _LEARNING_CACHE[name] = learning
+    """Learn rules from one benchmark (memoized per process)."""
+    learning = _LEARNING_CACHE.get(name)
+    if learning is None:
+        learning = learn_pair(compiled_benchmark(name), _SHARED_VERIFIER)
+        _LEARNING_CACHE[name] = learning
     return learning
 
 
@@ -111,10 +85,10 @@ def _learning_worker(name: str) -> dict:
 def _parallel_learn(names: Sequence[str]) -> None:
     """Learn several benchmarks across worker processes.
 
-    Memory/disk hits resolve in this process; only actual learning work is
-    fanned out.
+    Memo hits resolve in this process; only actual learning work is fanned
+    out.
     """
-    pending = [n for n in names if _cached_learning(n) is None]
+    pending = [n for n in names if n not in _LEARNING_CACHE]
     if get_jobs() <= 1 or len(pending) <= 1:
         for name in pending:
             benchmark_learning(name)

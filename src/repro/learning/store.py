@@ -2,10 +2,10 @@
 
 Rules round-trip through the two assemblers' text syntax, so a stored rule
 file is human-readable: each rule shows its guest and host assembly, the
-register mapping, flag verdicts, and constraints.  The same dict forms back
-the on-disk pipeline cache (:mod:`repro.cache`): per-benchmark learning
-results and derived rule sets persist as JSON keyed by
-:func:`ruleset_fingerprint`-style content digests.
+register mapping, flag verdicts, and constraints.  The same dict forms
+carry learning results and derived rules back from ``--jobs`` worker
+processes and into the pipeline's stage artifacts and published rule sets;
+:func:`ruleset_fingerprint` digests a rule set's content.
 """
 
 from __future__ import annotations

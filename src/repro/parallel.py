@@ -9,9 +9,8 @@ pool — the serial path stays the reference implementation.
 
 Workers are forked (on POSIX), so anything the parent warmed — compiled
 benchmarks, learned rules, derivation memos — is inherited for free; results
-flow back once per item.  Worker processes share the on-disk cache of
-:mod:`repro.cache` with the parent, so work one worker performs is a disk
-hit for every later process.
+flow back once per item, and the parent memoizes them, so work a worker
+performs is paid once per parent process.
 """
 
 from __future__ import annotations

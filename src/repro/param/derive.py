@@ -24,11 +24,10 @@ rule-application time (§IV-D).
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cache import MISS, STATS, BoundedMemo, disk_cache
+from repro.cache import MISS, STATS, BoundedMemo
 from repro.isa.arm import assembler as arm_asm
 from repro.isa.arm.opcodes import ARM
 from repro.isa.instruction import Instruction, Subgroup
@@ -37,7 +36,7 @@ from repro.isa.x86.opcodes import X86
 from repro.learning.learn import try_generalize_imms
 from repro.learning.rule import TranslationRule
 from repro.learning.ruleset import RuleSet
-from repro.learning.store import rule_from_dict, rule_to_dict, ruleset_fingerprint
+from repro.learning.store import rule_from_dict, rule_to_dict
 from repro.parallel import parallel_map, resolve_jobs
 from repro.param.classify import (
     HOST_PARAM_MNEMONICS,
@@ -231,20 +230,13 @@ def derive_rules(
 ) -> ParamResult:
     """Run opcode (+ optionally addressing-mode) parameterization.
 
-    The whole result is cached on disk, keyed by a content digest of the
-    learned rule set: a warm rerun performs zero symbolic derivations.  On a
-    cold run, target verification fans out across *jobs* worker processes
-    (``None`` = the process-wide ``--jobs`` setting; 1 = serial), with
-    byte-identical results either way.
+    Each target's verification result is memoized per process, so a later
+    call whose targets were already verified, over any learned set,
+    performs zero symbolic derivations.  Target verification the memo
+    misses fans out across *jobs* worker processes (``None`` = the
+    process-wide ``--jobs`` setting; 1 = serial), with byte-identical
+    results either way.
     """
-    fingerprint = ruleset_fingerprint(learned)
-    cached = disk_cache().get(
-        "derive-rules", fingerprint, include_addrmode, decode=_param_result_from_dict
-    )
-    if cached is not MISS:
-        return cached
-    started = time.perf_counter()
-
     counts = ParamCounts(learned_rules=len(learned))
     pararules = _parameterizable_single_rules(learned)
     counts.parameterizable_learned = len(pararules)
@@ -312,18 +304,12 @@ def derive_rules(
     )
 
     counts.derived_unique = len(derived)
-    disk_cache().put(
-        "derive-rules",
-        fingerprint,
-        include_addrmode,
-        payload=_param_result_to_dict(result),
-        elapsed=time.perf_counter() - started,
-    )
     return result
 
 
 def _param_result_to_dict(result: ParamResult) -> dict:
-    """JSON form of a ParamResult (targets stored as guest assembly)."""
+    """JSON form of a ParamResult (targets stored as guest assembly); the
+    derived-rules snapshot test digests exactly this."""
     return {
         "counts": asdict(result.counts),
         "derived": [rule_to_dict(rule) for rule in result.derived.rules],
@@ -334,18 +320,6 @@ def _param_result_to_dict(result: ParamResult) -> dict:
     }
 
 
-def _param_result_from_dict(data: dict) -> ParamResult:
-    """Rebuild a ParamResult (raises on a stale payload shape)."""
-    derived = RuleSet()
-    for entry in data["derived"]:
-        derived.add(rule_from_dict(entry))
-    result = ParamResult(derived=derived, counts=ParamCounts(**data["counts"]))
-    for text, stage in data["stages"]:
-        insn = arm_asm.parse_line(text)
-        result.target_stage[(insn.mnemonic, shape_of_instruction(insn))] = stage
-    return result
-
-
 #: Derivation is independent of the learned set (it only authorizes and
 #: stages); memoize per target so leave-one-out sweeps pay once.  The memo
 #: is bounded and registered with :func:`repro.cache.clear_all_caches`,
@@ -354,26 +328,13 @@ _TARGET_MEMO = BoundedMemo(maxsize=8192)
 
 
 def _derive_target(guest: Instruction) -> Optional[TranslationRule]:
-    """Verify host candidates for one target; return the best rule.
-
-    Three levels: the in-process memo, the on-disk cache (shared across
-    processes and parallel workers), then actual symbolic derivation.
-    """
+    """Verify host candidates for one target; return the best rule
+    (memoized per process)."""
     key = str(guest)
-    memoized = _TARGET_MEMO.get(key)
-    if memoized is not MISS:
-        return memoized
-    rule = disk_cache().get("derive-target", key, decode=_rule_or_none)
+    rule = _TARGET_MEMO.get(key)
     if rule is MISS:
-        started = time.perf_counter()
         rule = _derive_target_uncached(guest)
-        disk_cache().put(
-            "derive-target",
-            key,
-            payload=rule_to_dict(rule) if rule is not None else None,
-            elapsed=time.perf_counter() - started,
-        )
-    _TARGET_MEMO.put(key, rule)
+        _TARGET_MEMO.put(key, rule)
     return rule
 
 

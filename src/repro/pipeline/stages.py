@@ -10,7 +10,7 @@ the chain:
   guest/host pair; the fingerprints are what chain into everything
   downstream, so touching a workload generator reruns the world.
 * **learn** — leave-nothing-out rule learning over the corpus
-  (:func:`repro.experiments.common.rules_from`, itself memory+disk cached).
+  (:func:`repro.experiments.common.rules_from`, itself memoized in-process).
 * **derive** — parameterized derivation (opcode/addr-mode) plus sequence
   rules, serialized in index order.
 * **verify** — rebuild the serving configs from the candidate body exactly

@@ -594,7 +594,7 @@ class TranslationService:
             "requests": {"total": total, "errors_by_code": errors},
             "endpoints": self.endpoints.summary(),
             "code_cache": self.cache_stats(),
-            "caches": stats_payload(include_disk=False),
+            "caches": stats_payload(),
         }
         if self.server_stats is not None:
             payload["server"] = self.server_stats()

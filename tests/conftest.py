@@ -63,20 +63,6 @@ func main() {
 """
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_disk_cache(tmp_path_factory):
-    """Point the on-disk pipeline cache at a per-session temp directory.
-
-    Tests still exercise the disk layer (warm-rerun paths work within a
-    session) without reading from or polluting the user's real cache.
-    """
-    from repro import cache
-
-    cache.reset_disk_cache(tmp_path_factory.mktemp("repro-disk-cache"))
-    yield
-    cache.reset_disk_cache()
-
-
 @pytest.fixture(scope="session")
 def demo_pair():
     return compile_pair("demo", DEMO_SOURCE)

@@ -1,10 +1,6 @@
-"""The content-addressed disk cache and the cache-lifecycle API."""
+"""The in-process memos, their counters, and the cache-lifecycle API."""
 
 from __future__ import annotations
-
-import json
-
-import pytest
 
 from repro import cache as cache_mod
 from repro.cache import (
@@ -12,67 +8,18 @@ from repro.cache import (
     STATS,
     BoundedMemo,
     CacheStats,
-    DiskCache,
     clear_all_caches,
     register_cache,
 )
 
 
-@pytest.fixture()
-def disk(tmp_path):
-    return DiskCache(tmp_path / "cache")
-
-
-class TestDiskCache:
-    def test_roundtrip(self, disk):
-        assert disk.get("kind", "a", 1) is MISS
-        disk.put("kind", "a", 1, payload={"x": [1, 2]}, elapsed=0.5)
-        assert disk.get("kind", "a", 1) == {"x": [1, 2]}
-
-    def test_null_payload_is_not_a_miss(self, disk):
-        disk.put("kind", "nothing", payload=None)
-        assert disk.get("kind", "nothing") is None
-
-    def test_key_sensitivity(self, disk):
-        disk.put("kind", "a", payload=1)
-        assert disk.get("kind", "b") is MISS
-        assert disk.get("other", "a") is MISS
-        assert disk.entry_path("kind", "a") != disk.entry_path("kind", "b")
-
-    def test_clear_and_counts(self, disk):
-        for i in range(5):
-            disk.put("kind", i, payload=i)
-        assert disk.entry_count() == 5
-        assert disk.total_bytes() > 0
-        assert disk.clear() == 5
-        assert disk.entry_count() == 0
-        assert disk.get("kind", 3) is MISS
-
-    def test_disabled_cache_never_hits(self, tmp_path):
-        disk = DiskCache(tmp_path, enabled=False)
-        disk.put("kind", "a", payload=1)
-        assert disk.get("kind", "a") is MISS
-        assert disk.entry_count() == 0
-
-    def test_stats_counters(self, disk):
-        before = STATS.snapshot()
-        disk.get("kind", "nope")
-        disk.put("kind", "yes", payload=1, elapsed=2.0)
-        disk.get("kind", "yes")
-        delta = STATS.delta(before)
-        assert delta.disk_misses == 1
-        assert delta.disk_writes == 1
-        assert delta.disk_hits == 1
-        assert delta.seconds_saved == pytest.approx(2.0)
-
-
 class TestCacheStats:
     def test_snapshot_delta_reset(self):
-        stats = CacheStats(disk_hits=3, derivations=2, seconds_saved=1.5)
+        stats = CacheStats(memo_hits=3, derivations=2)
         snap = stats.snapshot()
-        stats.disk_hits += 4
+        stats.memo_hits += 4
         delta = stats.delta(snap)
-        assert delta.disk_hits == 4 and delta.derivations == 0
+        assert delta.memo_hits == 4 and delta.derivations == 0
         stats.reset()
         assert stats.as_dict() == CacheStats().as_dict()
 
@@ -91,8 +38,8 @@ class TestCacheStats:
         assert STATS.memo_hits == 3
 
     def test_summary_mentions_everything(self):
-        text = CacheStats(disk_hits=1, memo_misses=2, derivations=3).summary()
-        assert "1 hits" in text and "3 derivations" in text
+        text = CacheStats(memo_hits=1, memo_misses=2, derivations=3).summary()
+        assert text == "memo 1 hits / 2 misses, 3 derivations"
 
 
 class TestBoundedMemo:
@@ -164,7 +111,7 @@ class TestThreadSafety:
 
         def worker() -> None:
             for _ in range(increments_per_thread):
-                stats.incr(memo_hits=1, seconds_saved=0.5)
+                stats.incr(memo_hits=1, derivations=2)
 
         pool = [threading.Thread(target=worker) for _ in range(8)]
         for thread in pool:
@@ -172,7 +119,7 @@ class TestThreadSafety:
         for thread in pool:
             thread.join()
         assert stats.memo_hits == 8 * increments_per_thread
-        assert stats.seconds_saved == pytest.approx(8 * increments_per_thread * 0.5)
+        assert stats.derivations == 8 * increments_per_thread * 2
 
 
 class TestLifecycle:
@@ -211,74 +158,25 @@ class TestLifecycle:
         clear_all_caches()
         assert len(seqderive._SEQ_CACHE) == 0
 
-    def test_disk_survives_clear_all(self, tmp_path):
-        previous_root = cache_mod.disk_cache().root
-        disk = cache_mod.reset_disk_cache(tmp_path / "persist")
-        try:
-            disk.put("kind", "a", payload=1)
-            clear_all_caches()
-            assert disk.get("kind", "a") == 1
-        finally:
-            cache_mod.reset_disk_cache(previous_root)
 
-
-class TestPipelineDiskReuse:
-    def test_warm_derivation_skips_recompute(self, tmp_path):
-        """A fresh process (simulated via clear_all_caches) re-deriving the
-        same rule set performs zero symbolic derivations."""
+class TestDerivationMemo:
+    def test_second_learned_set_derives_nothing(self):
+        """Target verification is memoized per process: a second
+        ``derive_rules`` over a different learned set whose targets are
+        already verified performs zero symbolic derivations."""
         from repro.experiments.common import benchmark_learning
+        from repro.learning import RuleSet
         from repro.param.derive import derive_rules
 
-        previous_root = cache_mod.disk_cache().root
-        cache_mod.reset_disk_cache(tmp_path / "warm")
-        try:
-            learned = benchmark_learning("gcc").rules
-            cold = derive_rules(learned)
-            clear_all_caches()
-            before = STATS.snapshot()
-            warm = derive_rules(learned)
-            delta = STATS.delta(before)
-            assert delta.derivations == 0
-            assert delta.disk_hits > 0
-            assert [str(r) for r in warm.derived] == [str(r) for r in cold.derived]
-            assert warm.counts == cold.counts
-            assert warm.target_stage == cold.target_stage
-        finally:
-            cache_mod.reset_disk_cache(previous_root)
-            clear_all_caches()
-
-    def test_tampered_derive_rules_entry_is_recomputed(self, tmp_path):
-        """A ``derive-rules`` entry edited in place (still valid JSON, one
-        host mnemonic changed) is a miss: it is quarantined and the correct
-        rule set is derived again instead of the tampered one served."""
-        import re
-
-        from repro.experiments.common import benchmark_learning
-        from repro.param.derive import derive_rules
-
-        previous_root = cache_mod.disk_cache().root
-        root = tmp_path / "tamper"
-        cache_mod.reset_disk_cache(root)
-        try:
-            learned = benchmark_learning("gcc").rules
-            cold = [str(rule) for rule in derive_rules(learned).derived]
-            (entry,) = [
-                path for path in root.glob("*/*.json")
-                if '"stages"' in path.read_text()
-            ]
-            text = entry.read_text()
-            tampered = re.sub(r'"host": \["addl ', '"host": ["subl ', text, count=1)
-            assert tampered != text
-            entry.write_text(tampered)
-
-            clear_all_caches()
-            before = STATS.snapshot()
-            warm = [str(rule) for rule in derive_rules(learned).derived]
-            delta = STATS.delta(before)
-            assert warm == cold
-            assert delta.disk_misses >= 1
-            healed = entry.read_text()  # rewritten with the correct rules
-            assert healed.count('"host": ["subl ') == text.count('"host": ["subl ')
-        finally:
-            cache_mod.reset_disk_cache(previous_root)
-            clear_all_caches()
+        learned = benchmark_learning("gcc").rules
+        subset = RuleSet()
+        for rule in learned.rules[::2]:
+            subset.add(rule)
+        assert len(subset) < len(learned)
+        derive_rules(learned)
+        before = STATS.snapshot()
+        second = derive_rules(subset)
+        delta = STATS.delta(before)
+        assert delta.derivations == 0
+        assert delta.memo_hits > 0
+        assert second.counts.learned_rules == len(subset)

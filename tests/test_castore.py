@@ -1,11 +1,11 @@
 """Fault injection against the one content-addressed store (``repro.castore``).
 
-Every rebuildable on-disk cache is an adapter over :class:`CAStore`: the
-pipeline's stage artifacts and the derivation cache.  Each attack below runs
-against both and must end in a miss or in no persistence: nothing raises,
-and no tampered payload ever reaches a decoder (and so never reaches a rule
-set).  The claim-or-wait cases at the end drive :meth:`CAStore.get_or_build`
-itself, within one process and across forked ones.
+Every rebuildable on-disk cache is an adapter over :class:`CAStore`: today,
+the pipeline's stage artifacts.  Each attack below runs against it and must
+end in a miss or in no persistence: nothing raises, and no tampered payload
+ever reaches a decoder (and so never reaches a rule set).  The
+claim-or-wait cases at the end drive :meth:`CAStore.get_or_build` itself,
+within one process and across forked ones.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 
 from repro import castore
 from repro import fslock
-from repro.cache import MISS, DiskCache
 from repro.castore import BUILT, HIT, CAStore, canonical_digest
 from repro.pipeline.artifacts import ArtifactStore, artifact_digest
 
@@ -61,42 +60,9 @@ class _ArtifactTarget:
         return self.store.stats()["corrupt"]
 
 
-class _DeriveTarget:
-    """DiskCache: derivation results keyed by (kind, parts)."""
-
-    def __init__(self, root, monkeypatch):
-        self.root = root
-        self.cache = DiskCache(root)
-        self.seen = []
-
-    def _decode(self, value):
-        self.seen.append(value["tag"])
-        return value["tag"]
-
-    def put(self, tag, which=0):
-        self.cache.put("derive-rules", which, payload={"tag": tag}, elapsed=1.0)
-
-    def get(self, which=0):
-        value = self.cache.get("derive-rules", which, decode=self._decode)
-        return None if value is MISS else value
-
-    def path(self, which=0):
-        return self.cache.entry_path("derive-rules", which)
-
-    def get_or_build(self, tag):
-        value = self.get()
-        if value is None:
-            self.put(tag)
-            value = tag
-        return value
-
-    def corrupt_count(self):
-        return self.cache._store.counters()["corrupt"]
-
-
 @pytest.fixture(
-    params=[_ArtifactTarget, _DeriveTarget],
-    ids=["artifacts", "derive-cache"],
+    params=[_ArtifactTarget],
+    ids=["artifacts"],
 )
 def make_target(request, monkeypatch):
     return lambda root: request.param(root, monkeypatch)

@@ -48,7 +48,7 @@ class TestCacheCli:
     def test_cache_stats(self, capsys):
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "cache directory" in out and "disk entries" in out
+        assert "this process" in out and "derivations" in out
         assert "cyclic gc" in out and "gen 2:" in out
         assert "shape-class cross-check" in out and "re-verified" in out
         assert "equivalence sampling" in out and "compiled scans" in out
@@ -59,9 +59,9 @@ class TestCacheCli:
         assert main(["cache", "stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         # the same serializer the service stats endpoint embeds
-        assert {"directory", "enabled", "process", "memos", "disk_entries"} <= set(
-            payload
-        )
+        assert sorted(payload) == [
+            "gc", "interned_exprs", "memos", "process", "trace_tier", "verify",
+        ]
         assert isinstance(payload["memos"], list)
         assert "derivations" in payload["process"]
         assert "jit_tierups_count" in payload["process"]  # jit template tier
@@ -90,14 +90,14 @@ class TestCacheCli:
         previous = shapeclass._CROSS_CHECK_MOD
         shapeclass.set_cross_check(1)
         try:
-            before = stats_payload(include_disk=False)["verify"]
+            before = stats_payload()["verify"]
             # two members of one shape class: the second is memo-served
             for guest, host in (
                 ("add r4, r5, r6", "movl %esi, %ebx\naddl %edi, %ebx"),
                 ("add r7, r8, r9", "movl %edi, %esi\naddl %ebx, %esi"),
             ):
                 check_equivalence(ARM, X86, arm(guest), x86(host))
-            after = stats_payload(include_disk=False)["verify"]
+            after = stats_payload()["verify"]
         finally:
             shapeclass.set_cross_check(previous)
         assert after["cross_checked"] == before["cross_checked"] + 1
@@ -116,9 +116,9 @@ class TestCacheCli:
             ((BinOp("and", BinOp("or", x, Const(1)), Const(1)), Const(1)), "compiled_scans"),
         )
         for (lhs, rhs), counter in pairs:
-            before = stats_payload(include_disk=False)["verify"]
+            before = stats_payload()["verify"]
             exprs_equal(lhs, rhs, seed=0x57A7)
-            after = stats_payload(include_disk=False)["verify"]
+            after = stats_payload()["verify"]
             assert after["pairs_sampled"] == before["pairs_sampled"] + 1
             assert after[counter] == before[counter] + 1
             assert (
@@ -132,7 +132,7 @@ class TestCacheCli:
 
         def windows():
             (memo,) = [
-                m for m in stats_payload(include_disk=False)["memos"]
+                m for m in stats_payload()["memos"]
                 if m["name"] == "dbt.translator.windows"
             ]
             return memo
@@ -165,19 +165,39 @@ class TestCacheCli:
 
         from repro.cache import stats_payload
 
-        before = stats_payload(include_disk=False)["gc"][2]["collections"]
+        before = stats_payload()["gc"][2]["collections"]
         gc.collect()
-        after = stats_payload(include_disk=False)["gc"][2]["collections"]
+        after = stats_payload()["gc"][2]["collections"]
         assert after >= before + 1
 
-    def test_cache_clear(self, capsys):
-        from repro.cache import disk_cache
+    def test_run_writes_nothing_outside_the_process(self, tmp_path):
+        """Learning and derivation stay in-process: a full ``run`` leaves
+        an empty ``HOME`` and working directory empty, and there is no
+        ``cache clear`` to ask for."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        disk_cache().put("cli-test", "entry", payload=1)
-        assert main(["cache", "clear"]) == 0
-        out = capsys.readouterr().out
-        assert "cleared" in out
-        assert disk_cache().entry_count() == 0
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {"HOME": str(tmp_path), "PATH": os.environ.get("PATH", ""),
+               "PYTHONPATH": src}
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv], cwd=tmp_path,
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        run = cli("run", "table3")
+        assert run.returncode == 0, run.stderr
+        assert "Table III" in run.stdout
+        assert sorted(tmp_path.iterdir()) == []
+        clear = cli("cache", "clear")
+        assert clear.returncode == 2
+        assert "invalid choice" in clear.stderr
 
     def test_run_reports_cache_stats(self, capsys):
         assert main(["run", "table3"]) == 0

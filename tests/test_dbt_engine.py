@@ -210,7 +210,7 @@ class TestTemplateTier:
         assert cold.jit_template_shapes > 0
         assert cold.jit_tierups_count == 1  # the loop body, mid-run
         assert cold.jit_tierups_reuse == 0
-        process = stats_payload(include_disk=False)["process"]
+        process = stats_payload()["process"]
         for key in (
             "jit_blocks_bound",
             "jit_tierups_count",

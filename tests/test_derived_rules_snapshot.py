@@ -2,8 +2,8 @@
 
 Learns rules from all 12 workload benchmarks and derives the parameterized
 rule set and the sequence rules (:func:`repro.param.derive_sequence_rules`)
-from them, cold: every in-memory cache cleared and the disk cache
-off, so each verdict is computed rather than recalled.  The shape-class
+from them, cold: every in-memory cache cleared, so each verdict is
+computed rather than recalled.  The shape-class
 cross-check samples at 1-in-1, so every verdict served from a shape-class
 memo is re-verified directly (:mod:`repro.verify.shapeclass`).
 
@@ -39,7 +39,7 @@ def _digest(payload) -> str:
 
 def cold_snapshot() -> Dict[str, object]:
     """Learn and derive over the whole suite from cold; return the snapshot."""
-    from repro.cache import clear_all_caches, disk_cache
+    from repro.cache import clear_all_caches
     from repro.experiments.common import rules_from
     from repro.learning.store import rule_to_dict
     from repro.param.derive import _param_result_to_dict, derive_rules
@@ -47,9 +47,6 @@ def cold_snapshot() -> Dict[str, object]:
     from repro.verify import shapeclass
     from repro.workloads import BENCHMARK_NAMES
 
-    cache = disk_cache()
-    was_enabled = cache.enabled
-    cache.enabled = False
     clear_all_caches()
     before = shapeclass.cross_check_stats()
     previous_mod = shapeclass._CROSS_CHECK_MOD
@@ -60,7 +57,6 @@ def cold_snapshot() -> Dict[str, object]:
         sequence = derive_sequence_rules(learned)
     finally:
         shapeclass.set_cross_check(previous_mod)
-        cache.enabled = was_enabled
     after = shapeclass.cross_check_stats()
     return {
         "training_set": list(BENCHMARK_NAMES),

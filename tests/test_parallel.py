@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro import cache as cache_mod
 from repro.cache import clear_all_caches
 from repro.parallel import get_jobs, parallel_map, resolve_jobs, set_jobs
 
@@ -73,23 +72,19 @@ class TestCliJobsFlag:
 
 
 class TestParallelSerialEquivalence:
-    def test_derive_rules_identical(self, tmp_path):
+    def test_derive_rules_identical(self):
         """Parallel and serial derivation produce identical rule sets."""
         from repro.experiments.common import benchmark_learning
         from repro.param.derive import derive_rules
 
         learned = benchmark_learning("gcc").rules
-        previous_root = cache_mod.disk_cache().root
         try:
-            cache_mod.reset_disk_cache(tmp_path / "serial")
             clear_all_caches()
             serial = derive_rules(learned, jobs=1)
             # Fresh caches for the parallel run so it really derives.
-            cache_mod.reset_disk_cache(tmp_path / "parallel")
             clear_all_caches()
             parallel = derive_rules(learned, jobs=2)
         finally:
-            cache_mod.reset_disk_cache(previous_root)
             clear_all_caches()
         assert [str(r) for r in parallel.derived] == [str(r) for r in serial.derived]
         assert parallel.counts == serial.counts

@@ -45,13 +45,6 @@ _LISTEN_RE = re.compile(r"listening on [^:]+:(\d+)")
 _READY_RE = re.compile(r"worker (\d+) ready \(pid=(\d+)\)")
 
 
-@pytest.fixture(scope="module")
-def shared_cache_dir(tmp_path_factory):
-    """One pipeline cache for all server subprocesses: the first boot pays
-    for training, the rest warm-start from disk."""
-    return tmp_path_factory.mktemp("pool-pipeline-cache")
-
-
 class PoolHandle:
     """A booted serve subprocess plus its parsed log state."""
 
@@ -105,7 +98,6 @@ class PoolHandle:
 
 def _boot(
     tmp_path: Path,
-    cache_dir: Path,
     workers: int,
     name: str,
     handlers: int = 4,
@@ -115,7 +107,6 @@ def _boot(
     pool_dir = tmp_path / f"{name}-pool"
     env = dict(
         os.environ,
-        REPRO_CACHE_DIR=str(cache_dir),
         PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""),
     )
     argv = [
@@ -191,9 +182,7 @@ def _request(port: int, obj: dict) -> dict:
 
 
 class TestPoolUnderLoad:
-    def test_loadgen_stats_sweep_and_drain(
-        self, tmp_path, shared_cache_dir
-    ):
+    def test_loadgen_stats_sweep_and_drain(self, tmp_path):
         from repro.service.loadgen import (
             LoadgenOptions,
             check_loadgen_report,
@@ -202,7 +191,7 @@ class TestPoolUnderLoad:
             run_sweep,
         )
 
-        pool = _boot(tmp_path, shared_cache_dir, workers=4, name="load4")
+        pool = _boot(tmp_path, workers=4, name="load4")
         try:
             options = LoadgenOptions(
                 port=pool.port,
@@ -263,12 +252,10 @@ class TestPoolUnderLoad:
 
 
 class TestColdStartStampede:
-    def test_concurrent_identical_translates_agree(
-        self, tmp_path, shared_cache_dir
-    ):
+    def test_concurrent_identical_translates_agree(self, tmp_path):
         import concurrent.futures
 
-        pool = _boot(tmp_path, shared_cache_dir, workers=2, name="stampede")
+        pool = _boot(tmp_path, workers=2, name="stampede")
         try:
             request = {"op": "translate", "benchmark": "libquantum"}
             with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool_ex:
@@ -299,10 +286,8 @@ class TestColdStartStampede:
 
 
 class TestWorkerCrash:
-    def test_sigkill_respawn_and_graceful_drain(
-        self, tmp_path, shared_cache_dir
-    ):
-        pool = _boot(tmp_path, shared_cache_dir, workers=2, name="crash")
+    def test_sigkill_respawn_and_graceful_drain(self, tmp_path):
+        pool = _boot(tmp_path, workers=2, name="crash")
         conns = []
         try:
             ready_pids = set(pool.worker_pids().values())
@@ -390,8 +375,8 @@ def _alive(pid: int) -> bool:
 
 
 class TestParentDeath:
-    def test_workers_exit_after_parent_sigkill(self, tmp_path, shared_cache_dir):
-        pool = _boot(tmp_path, shared_cache_dir, workers=2, name="orphan")
+    def test_workers_exit_after_parent_sigkill(self, tmp_path):
+        pool = _boot(tmp_path, workers=2, name="orphan")
         workers = set(pool.worker_pids().values())
         assert len(workers) == 2
         try:
@@ -428,10 +413,9 @@ _OP_SPECS = (
 
 
 @pytest.fixture(scope="module")
-def solo_server(tmp_path_factory, shared_cache_dir):
+def solo_server(tmp_path_factory):
     handle = _boot(
         tmp_path_factory.mktemp("solo"),
-        shared_cache_dir,
         workers=1,
         name="solo",
     )
@@ -440,10 +424,9 @@ def solo_server(tmp_path_factory, shared_cache_dir):
 
 
 @pytest.fixture(scope="module")
-def pool_server(tmp_path_factory, shared_cache_dir):
+def pool_server(tmp_path_factory):
     handle = _boot(
         tmp_path_factory.mktemp("pool2"),
-        shared_cache_dir,
         workers=2,
         name="pool2",
     )

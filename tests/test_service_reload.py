@@ -34,11 +34,6 @@ def service_setup():
 
 
 @pytest.fixture(scope="module")
-def shared_cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("reload-pipeline-cache")
-
-
-@pytest.fixture(scope="module")
 def bodies():
     """Two distinct publishable bodies: mcf-only rules, then the full
     quick-training rules — both must serve mcf correctly (rules change
@@ -326,9 +321,7 @@ class TestGenerationIsolation:
 
 
 class TestPoolReload:
-    def test_all_workers_converge(
-        self, tmp_path, bodies, mcf_reference, shared_cache_dir
-    ):
+    def test_all_workers_converge(self, tmp_path, bodies, mcf_reference):
         """A real 2-worker pool with watchers: after a publish, stats'
         pool aggregate reports every worker on the new version, with
         oracle-verified traffic running throughout."""
@@ -338,7 +331,6 @@ class TestPoolReload:
         v1 = store.publish(bodies[0]).version
         handle = _boot(
             tmp_path,
-            shared_cache_dir,
             workers=2,
             name="reload-pool",
             extra=(
