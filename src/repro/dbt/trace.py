@@ -60,10 +60,11 @@ from repro.dbt.compiler import (
 )
 from repro.dbt.runtime import (
     DISPATCH_LABEL,
+    EXIT_TAKEN,
     env_flag_addr,
     env_reg_addr,
 )
-from repro.dbt.translator import _EXIT_TAKEN, TranslatedBlock
+from repro.dbt.translator import TranslatedBlock
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction, InstructionDef
 from repro.isa.operands import Imm, Label, Mem, Reg
@@ -294,7 +295,7 @@ def parse_block(
             return None
         if taken.start != jmps[0] + 1:
             return None
-        if tb.labels.get(_EXIT_TAKEN) != taken.start:
+        if tb.labels.get(EXIT_TAKEN) != taken.start:
             return None
         jcc = fall.start - 1
         if jcc < 0:
@@ -304,14 +305,14 @@ def parse_block(
             return None
         ops = host[jcc].operands
         if not (
-            ops and isinstance(ops[0], Label) and ops[0].name == _EXIT_TAKEN
+            ops and isinstance(ops[0], Label) and ops[0].name == EXIT_TAKEN
         ):
             return None
         cond = jdef.cond
         linear_end = jcc
         branch_ok = {jcc, jmps[0], jmps[1]}
     else:
-        if _EXIT_TAKEN in tb.labels:
+        if EXIT_TAKEN in tb.labels:
             return None
         fall = _parse_stub(tb, jmps[0])
         if fall is None:

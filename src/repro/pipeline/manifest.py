@@ -70,8 +70,8 @@ def body_from_setup(
     """Snapshot a derived :class:`SystemSetup` into a publishable body.
 
     The sequence-derived rules are recovered as the ``seqparam`` config's
-    suffix beyond the ``condition`` (learned + derived) set, so nothing is
-    re-derived here.
+    suffix beyond the ``condition`` (learned + derived) set; reading that
+    config derives them if no earlier reader of *setup* has.
     """
     from dataclasses import asdict
 
@@ -217,6 +217,9 @@ def serving_ruleset_from_setup(setup, *, training: str) -> ServingRuleset:
     The digest is the fingerprint of the default serving rule set, so two
     processes trained on the same corpus report the same identity even
     though no store version exists.
+
+    Its ``sequence`` count reads the ``seqparam`` config, so a
+    train-at-boot server derives the sequence rules at boot.
     """
     all_rules = setup.configs["condition"].rules
     seq_len = len(setup.configs["seqparam"].rules.rules) - len(all_rules.rules)

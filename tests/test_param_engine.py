@@ -6,13 +6,22 @@ also *aliased* the caller's RuleSet, so a caller mutating either the input
 set or the returned setup silently poisoned every later memo hit.  The fix
 is two-sided: the input set is snapshotted, and every RuleSet inside a
 memoized setup is frozen.
+
+The ``seqparam`` stage is built on its first read, once per setup, so a
+set-up that never reads it derives no sequence rules.
 """
+
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.cache import STATS, BoundedMemo
 from repro.errors import RuleError
 from repro.learning.ruleset import RuleSet
-from repro.param import build_setup
+from repro.learning.store import rule_to_dict
+from repro.param import STAGES, build_setup, derive, engine, seqderive
 
 
 class TestFrozenRuleSet:
@@ -67,3 +76,119 @@ class TestSetupMemoIsolation:
         # A later caller with the original content gets the clean setup.
         served = build_setup(demo_rules.copy())
         assert len(served.learned) == before
+
+
+@pytest.fixture(scope="module")
+def quick_rules():
+    from repro.difftest.oracle import training_rules
+
+    return training_rules()
+
+
+@pytest.fixture
+def seq_calls(monkeypatch):
+    """Empty setup and target memos, and the learned sets that
+    ``derive_sequence_rules`` was called with through the engine."""
+    calls = []
+
+    def counting(learned):
+        calls.append(learned)
+        return seqderive.derive_sequence_rules(learned)
+
+    monkeypatch.setattr(engine, "derive_sequence_rules", counting)
+    monkeypatch.setattr(engine, "_SETUP_MEMO", BoundedMemo(register=False))
+    monkeypatch.setattr(derive, "_TARGET_MEMO", BoundedMemo(register=False))
+    return calls
+
+
+class TestLazySeqparamStage:
+    def test_built_on_first_read_only(self, quick_rules, seq_calls):
+        setup = build_setup(quick_rules)
+        assert seq_calls == []
+        first = setup.configs["seqparam"]
+        assert len(seq_calls) == 1
+        assert setup.configs["seqparam"] is first
+        assert build_setup(quick_rules) is setup  # a memo hit
+        assert build_setup(quick_rules).configs["seqparam"] is first
+        assert len(seq_calls) == 1
+
+    def test_param_stays_eager(self, quick_rules, seq_calls):
+        before = STATS.snapshot()
+        build_setup(quick_rules)
+        assert STATS.delta(before).derivations > 0
+        assert seq_calls == []
+
+    def test_stages_listed_without_building(self, quick_rules, seq_calls):
+        configs = build_setup(quick_rules).configs
+        assert list(configs) == list(STAGES)
+        assert len(configs) == len(STAGES)
+        assert "seqparam" in configs and "nope" not in configs
+        assert seq_calls == []
+        with pytest.raises(KeyError):
+            configs["nope"]
+
+    def test_rules_are_condition_plus_sequence_rules(self, quick_rules, seq_calls):
+        setup = build_setup(quick_rules)
+        config = setup.configs["seqparam"]
+        expected = setup.configs["condition"].rules.rules + (
+            seqderive.derive_sequence_rules(setup.learned).rules
+        )
+        assert len(expected) > len(setup.configs["condition"].rules)
+        assert [rule_to_dict(r) for r in config.rules.rules] == [
+            rule_to_dict(r) for r in expected
+        ]
+        assert config.rules.frozen
+        assert (config.name, config.condition, config.pc_constraint) == (
+            "seq param",
+            True,
+            True,
+        )
+
+    def test_concurrent_first_reads_build_once(self, quick_rules, seq_calls, monkeypatch):
+        counting = engine.derive_sequence_rules
+
+        def slow(learned):
+            time.sleep(0.05)  # hold the build open while the others arrive
+            return counting(learned)
+
+        monkeypatch.setattr(engine, "derive_sequence_rules", slow)
+        configs = build_setup(quick_rules).configs
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=30)
+            seen.append(configs["seqparam"])
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        assert all(config is seen[0] for config in seen)
+        assert len(seq_calls) == 1
+
+    def test_failed_build_is_retried(self, quick_rules, seq_calls, monkeypatch):
+        counting = engine.derive_sequence_rules
+        failures = [RuntimeError("derivation failed")]
+
+        def flaky(learned):
+            if failures:
+                raise failures.pop()
+            return counting(learned)
+
+        monkeypatch.setattr(engine, "derive_sequence_rules", flaky)
+        configs = build_setup(quick_rules).configs
+        with pytest.raises(RuntimeError, match="derivation failed"):
+            configs["seqparam"]
+        config = configs["seqparam"]
+        assert config.rules.frozen
+        assert configs["seqparam"] is config
+        assert len(seq_calls) == 1
